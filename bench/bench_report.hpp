@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace paws::bench {
 
 struct ResultRow {
@@ -70,20 +72,6 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 
 namespace detail {
 
-inline std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 inline std::filesystem::path benchDir() {
   const char* dir = std::getenv("PAWS_BENCH_DIR");
   return std::filesystem::path(dir != nullptr && *dir != '\0' ? dir : ".");
@@ -95,19 +83,19 @@ inline void writeFragment(const std::string& suite,
   const std::filesystem::path dir = benchDir() / ".bench-fragments";
   std::filesystem::create_directories(dir);
   std::ofstream out(dir / (suite + ".json"), std::ios::trunc);
-  out << "\"" << jsonEscape(suite) << "\": {";
+  out << obs::json::escaped(suite) << ": {";
   bool firstRow = true;
   for (const ResultRow& row : rows) {
     out << (firstRow ? "\n" : ",\n");
     firstRow = false;
-    out << "    \"" << jsonEscape(row.name) << "\": {\"wall_ns\": "
+    out << "    " << obs::json::escaped(row.name) << ": {\"wall_ns\": "
         << row.wallNs << ", \"cpu_ns\": " << row.cpuNs
         << ", \"iterations\": " << row.iterations << ", \"counters\": {";
     bool firstCounter = true;
     for (const auto& [name, value] : row.counters) {
       if (!firstCounter) out << ", ";
       firstCounter = false;
-      out << "\"" << jsonEscape(name) << "\": " << value;
+      out << obs::json::escaped(name) << ": " << value;
     }
     out << "}}";
   }

@@ -1,9 +1,6 @@
 #include "analysis/battery_stress.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "base/check.hpp"
 
 namespace paws {
 
@@ -34,24 +31,6 @@ BatteryStressReport analyzeBatteryStress(const PowerProfile& profile,
         report.drawnEnergy.milliwattTicks() / span.ticks());
   }
   return report;
-}
-
-Energy peukertEffectiveEnergy(const PowerProfile& profile, Watts freeLevel,
-                              Watts ratedDraw, double k) {
-  PAWS_CHECK_MSG(ratedDraw > Watts::zero(), "rated draw must be positive");
-  PAWS_CHECK_MSG(k >= 1.0, "Peukert exponent must be >= 1");
-  double effectiveMwTicks = 0.0;
-  for (const PowerSegment& s : profile.segments()) {
-    if (s.power <= freeLevel) continue;
-    const Watts draw = s.power - freeLevel;
-    const double ratio = static_cast<double>(draw.milliwatts()) /
-                         static_cast<double>(ratedDraw.milliwatts());
-    const double penalty = std::pow(ratio, k - 1.0);
-    effectiveMwTicks += static_cast<double>(draw.milliwatts()) * penalty *
-                        static_cast<double>(s.interval.length().ticks());
-  }
-  return Energy::fromMilliwattTicks(
-      static_cast<std::int64_t>(effectiveMwTicks + 0.5));
 }
 
 }  // namespace paws

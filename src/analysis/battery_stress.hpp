@@ -4,17 +4,12 @@
 //
 // Real (especially cold, non-rechargeable lithium) batteries deliver less
 // total energy when drained in tall, spiky bursts than under a steady
-// draw. We expose:
-//
-//   * a stress report over the *battery draw* curve
-//     B(t) = max(0, P(t) - free(t)): peak, average, jitter (largest
-//     instantaneous step), and the exact integral of B(t)^2 — the ohmic
-//     (I^2 R-shaped) loss proxy, computed in closed form on the
-//     piecewise-constant profile;
-//   * a Peukert-style effective-energy model: a draw at power B delivers
-//     charge at a penalized rate (B / Brated)^(k-1); k = 1 is the ideal
-//     battery, larger k punishes bursts. Effective consumption is
-//     integrated segment-exactly.
+// draw. We expose a stress report over the *battery draw* curve
+// B(t) = max(0, P(t) - free(t)): peak, average, jitter (largest
+// instantaneous step), and the exact integral of B(t)^2 — the ohmic
+// (I^2 R-shaped) loss proxy, computed in closed form on the
+// piecewise-constant profile. The battery loss model itself (rate-capacity
+// effect and charge recovery) lives in model/battery_traits.hpp.
 //
 // The min-power scheduler cannot increase and usually lowers every one of
 // these measures versus the max-power-only schedule (gap filling flattens
@@ -42,13 +37,5 @@ struct BatteryStressReport {
 /// (the Pmin of the case under analysis).
 BatteryStressReport analyzeBatteryStress(const PowerProfile& profile,
                                          Watts freeLevel);
-
-/// Peukert-style effective energy: each segment drawing B for duration d
-/// consumes B * d * (B / ratedDraw)^(k-1) of effective charge. `k` is the
-/// Peukert exponent (typ. 1.05-1.3 for lithium, ~1.3 for lead-acid);
-/// ratedDraw must be positive. Returns the effective energy consumed —
-/// >= the nominal Ec whenever draws exceed the rated level and k > 1.
-Energy peukertEffectiveEnergy(const PowerProfile& profile, Watts freeLevel,
-                              Watts ratedDraw, double k);
 
 }  // namespace paws

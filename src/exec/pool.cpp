@@ -102,9 +102,12 @@ void Pool::workerLoop(std::size_t self) {
   std::function<void()> task;
   for (;;) {
     if (tryPop(self, task)) {
+      // Count before running: an async() task fulfils its caller's future
+      // inside task(), and a caller reading stats() after get() must
+      // already see this run.
+      tasksRun_.fetch_add(1, std::memory_order_relaxed);
       task();
       task = nullptr;
-      tasksRun_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     std::unique_lock<std::mutex> lk(idleMu_);

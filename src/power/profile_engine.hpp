@@ -29,8 +29,8 @@
 // budgets, and fixing them is what makes the integrals maintainable as
 // running sums. All arithmetic is the same fixed-point Time/Watts/Energy
 // math the builder uses, so every aggregate is bit-identical to a fresh
-// PowerProfileBuilder rebuild — the determinism contract the equivalence
-// and property tests pin down.
+// PowerProfileBuilder rebuild — the determinism contract the property
+// tests pin down with the builder as their oracle.
 #pragma once
 
 #include <cstdint>
@@ -139,10 +139,9 @@ class ProfileEngine {
   /// two hash streams. Hashing the merged view (rather than the raw
   /// breakpoint map, which may hold equal-level neighbours between
   /// coalesce opportunities) makes the fingerprint a pure function of the
-  /// profile *as a function of time*, so it matches a fingerprint computed
-  /// from a freshly built PowerProfile of the same contributions. The
-  /// exhaustive search's dominance table depends on that equality to make
-  /// identical pruning decisions in incremental and rebuild modes.
+  /// profile *as a function of time*: two states drawing the same power
+  /// over time hash alike however their breakpoints were reached. The
+  /// exhaustive search's dominance table depends on that equality.
   void mixState(std::uint64_t& h1, std::uint64_t& h2) const {
     mixHash(h1, h2, static_cast<std::uint64_t>(finish_.ticks()));
     bool first = true;

@@ -60,11 +60,6 @@ struct ExhaustiveOptions {
   /// the calling thread, 0 resolves via PAWS_JOBS / hardware_concurrency
   /// (exec::resolveJobs). Any value yields bit-identical schedules.
   std::size_t jobs = 1;
-  /// Maintain each worker's placed-prefix profile as a power::ProfileEngine
-  /// (one addTask per placement, one removeTask per backtrack) instead of
-  /// rebuilding it at every node. Bit-identical search; the flag keeps the
-  /// rebuild path alive for the equivalence tests.
-  bool incrementalProfile = true;
   /// Dominance pruning: each worker keeps a transposition table keyed on a
   /// canonical signature of the search state (depth, merged placed-prefix
   /// power profile, and the start times of placed tasks that can still

@@ -72,11 +72,6 @@ struct MaxPowerOptions {
   /// Total delay decisions before giving up.
   std::uint64_t maxDelays = 100000;
   std::uint32_t randomSeed = 1;
-  /// Evaluate spikes/victims through the incremental power::ProfileEngine
-  /// instead of rebuilding a PowerProfile per round. Same schedules either
-  /// way (the equivalence tests pin this); the flag exists so those tests
-  /// can run the legacy rebuild path.
-  bool incrementalProfile = true;
   obs::ObsContext obs;
   /// See TimingOptions::budget; propagated into `timing.budget`.
   guard::RunBudget budget;
@@ -105,10 +100,6 @@ struct MinPowerOptions {
   /// revalidated schedule under changed Pmin instead of re-solving.
   std::optional<std::vector<Time>> initialStarts;
   std::uint32_t randomSeed = 1;
-  /// Evaluate candidate gap-filling moves with power::ProfileEngine deltas
-  /// (checkpoint / moveTask / restore) instead of a full profile rebuild
-  /// per candidate. Byte-identical results; see MaxPowerOptions.
-  bool incrementalProfile = true;
   obs::ObsContext obs;
   /// See TimingOptions::budget; propagated into `maxPower.budget`.
   guard::RunBudget budget;

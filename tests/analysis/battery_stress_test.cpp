@@ -48,29 +48,6 @@ TEST(BatteryStressTest, EmptyProfile) {
   EXPECT_EQ(r.drawnEnergy, Energy::zero());
 }
 
-TEST(PeukertTest, IdealBatteryMatchesNominalCost) {
-  const PowerProfile p = stairProfile();
-  EXPECT_EQ(peukertEffectiveEnergy(p, 6_W, 5_W, 1.0),
-            p.energyAbove(6_W));
-}
-
-TEST(PeukertTest, BurstsArePenalizedAboveRatedDraw) {
-  const PowerProfile p = stairProfile();
-  const Energy ideal = p.energyAbove(6_W);
-  const Energy harsh = peukertEffectiveEnergy(p, 6_W, 5_W, 1.3);
-  EXPECT_GT(harsh, ideal) << "8W draw above the 5W rating must cost extra";
-  // A higher rated draw reduces the penalty.
-  const Energy gentler = peukertEffectiveEnergy(p, 6_W, 8_W, 1.3);
-  EXPECT_LT(gentler, harsh);
-}
-
-TEST(PeukertTest, RejectsBadParameters) {
-  const PowerProfile p = stairProfile();
-  EXPECT_THROW((void)peukertEffectiveEnergy(p, 6_W, Watts::zero(), 1.2),
-               CheckError);
-  EXPECT_THROW((void)peukertEffectiveEnergy(p, 6_W, 5_W, 0.9), CheckError);
-}
-
 TEST(BatteryStressTest, MinPowerSchedulingNeverWorsensTheDrawCurve) {
   // The paper's jitter claim on the running example: gap filling flattens
   // the battery draw. Compare max-power-only vs the full pipeline.

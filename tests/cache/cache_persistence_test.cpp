@@ -12,6 +12,7 @@
 #include <string>
 
 #include "cache/schedule_cache.hpp"
+#include "support/temp_path.hpp"
 
 namespace paws::cache {
 namespace {
@@ -19,9 +20,7 @@ namespace {
 class PersistenceFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("paws_persist_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+    dir_ = testutil::uniqueTempPath("");
     std::filesystem::create_directories(dir_);
     path_ = (dir_ / ScheduleCache::kFileName()).string();
   }

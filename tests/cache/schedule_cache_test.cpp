@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "support/temp_path.hpp"
 
 namespace paws::cache {
 namespace {
@@ -109,9 +110,7 @@ TEST(ScheduleCacheTest, ConcurrentMixedTrafficIsSafe) {
 }
 
 TEST(ScheduleCacheTest, SaveLoadRoundTripsEntriesAndRecency) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "paws_cache_test.json")
-          .string();
+  const std::string path = testutil::uniqueTempPath(".json").string();
   {
     ScheduleCache cache(8, 1);
     CacheEntry e = entryWith("schedule \"x\" of \"p\" {\n}\n", 123);
@@ -151,9 +150,7 @@ TEST(ScheduleCacheTest, LoadMissingFileIsACleanColdStart) {
 }
 
 TEST(ScheduleCacheTest, LoadRejectsGarbageWithoutCrashing) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "paws_cache_garbage.json")
-          .string();
+  const std::string path = testutil::uniqueTempPath(".json").string();
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);

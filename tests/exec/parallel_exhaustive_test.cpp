@@ -41,11 +41,9 @@ struct Outcome {
   bool operator==(const Outcome&) const = default;
 };
 
-Outcome runWithJobs(const Problem& problem, std::size_t jobs,
-                    bool incrementalProfile = true) {
+Outcome runWithJobs(const Problem& problem, std::size_t jobs) {
   ExhaustiveOptions options;
   options.jobs = jobs;
-  options.incrementalProfile = incrementalProfile;
   ExhaustiveScheduler scheduler(problem, options);
   const ScheduleResult r = scheduler.schedule();
   Outcome o;
@@ -81,25 +79,6 @@ TEST(ParallelExhaustiveTest, LargerInstancesStayDeterministic) {
     for (const std::size_t jobs : {2u, 8u}) {
       const Outcome parallel = runWithJobs(gp.problem, jobs);
       EXPECT_EQ(parallel, serial) << "seed " << seed << " jobs " << jobs;
-    }
-  }
-}
-
-TEST(ParallelExhaustiveTest, IncrementalPrefixProfileIsDeterministic) {
-  // The incremental prefix ProfileEngine must not disturb the parallel
-  // determinism contract: for jobs in {1, 2, 8}, with the engine on or
-  // off, every run returns byte-identical schedules, costs and flags.
-  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
-    const GeneratedProblem gp =
-        generateRandomProblem(smallConfig(seed, /*numTasks=*/5));
-    const Outcome reference =
-        runWithJobs(gp.problem, 1, /*incrementalProfile=*/false);
-    ASSERT_TRUE(reference.provenOptimal) << "seed " << seed;
-    for (const std::size_t jobs : {1u, 2u, 8u}) {
-      const Outcome incremental =
-          runWithJobs(gp.problem, jobs, /*incrementalProfile=*/true);
-      EXPECT_EQ(incremental, reference) << "seed " << seed << " jobs "
-                                        << jobs;
     }
   }
 }

@@ -16,7 +16,6 @@
 #include "sched/repair.hpp"
 #include "sched/serial_scheduler.hpp"
 #include "sched/slack.hpp"
-#include "sched/whatif.hpp"
 #include "validate/validator.hpp"
 
 namespace paws {
@@ -93,23 +92,25 @@ TEST_F(SensorNodeFlow, TextToValidScheduleToReports) {
 }
 
 TEST_F(SensorNodeFlow, WhatIfThenRepairComposes) {
-  // A designer pins the beacon late, accepts the result, then the budget
-  // drops mid-flight and the plan is repaired.
-  WhatIfSession session(problem_);
+  // A designer pins the beacon late on a copy of the problem, accepts the
+  // result, then the budget drops mid-flight and the plan is repaired.
   const TaskId beacon = *problem_.findTask("beacon");
-  session.lock(beacon, Time(20));
-  const ScheduleResult locked = session.reschedule();
-  ASSERT_TRUE(locked.ok()) << locked.message;
-  EXPECT_EQ(locked.schedule->start(beacon), Time(20));
+  Problem pinned(problem_);
+  pinned.pin(beacon, Time(20));
+  const ScheduleResult solved = PowerAwareScheduler(pinned).schedule();
+  ASSERT_TRUE(solved.ok()) << solved.message;
+  // The pin only constrained the solver; bind the plan to the original.
+  const Schedule locked(&problem_, solved.schedule->starts());
+  EXPECT_EQ(locked.start(beacon), Time(20));
 
   Problem degraded(problem_);
   degraded.setMaxPower(Watts::fromWatts(8.5));
-  const RepairInput input{&degraded, &*locked.schedule, Time(10)};
+  const RepairInput input{&degraded, &locked, Time(10)};
   const ScheduleResult repaired = repairSchedule(input);
   ASSERT_TRUE(repaired.ok()) << repaired.message;
   for (TaskId v : problem_.taskIds()) {
-    if (locked.schedule->start(v) < Time(10)) {
-      EXPECT_EQ(repaired.schedule->start(v), locked.schedule->start(v));
+    if (locked.start(v) < Time(10)) {
+      EXPECT_EQ(repaired.schedule->start(v), locked.start(v));
     }
   }
   for (const Interval& spike :

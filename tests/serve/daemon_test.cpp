@@ -14,6 +14,7 @@
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
+#include "support/temp_path.hpp"
 
 namespace paws::serve {
 namespace {
@@ -202,7 +203,7 @@ TEST_F(DaemonFixture, MetricsScrapeIsOpenMetricsWithServeCounters) {
 }
 
 TEST_F(DaemonFixture, ServesOverUnixSocket) {
-  const fs::path sock = fs::temp_directory_path() / "pawsd_test.sock";
+  const fs::path sock = testutil::uniqueTempPath(".sock");
   fs::remove(sock);
   config.address = "unix:" + sock.string();
   boot();
@@ -219,8 +220,7 @@ TEST_F(DaemonFixture, ServesOverUnixSocket) {
 }
 
 TEST_F(DaemonFixture, DrainFlushesCacheAndASuccessorWarmStartsFromIt) {
-  const fs::path dir =
-      fs::temp_directory_path() / "pawsd_cache_drain_test";
+  const fs::path dir = testutil::uniqueTempPath("");
   fs::remove_all(dir);
   fs::create_directories(dir);
   config.cacheDir = dir.string();
