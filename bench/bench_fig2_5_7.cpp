@@ -68,24 +68,24 @@ void printFigures() {
   MaxPowerOptions maxOptions;
   maxOptions.obs = obsCtx;
   MaxPowerScheduler maxPower(p, maxOptions);
-  MaxPowerScheduler::Detailed det = maxPower.scheduleDetailed();
-  if (!det.result.ok()) {
-    std::printf("max-power failed: %s\n", det.result.message.c_str());
+  const ScheduleResult valid = maxPower.schedule();
+  if (!valid.ok()) {
+    std::printf("max-power failed: %s\n", valid.message.c_str());
     return;
   }
   describe("Fig. 5: after max-power scheduling (h and f delayed)", p,
-           *det.result.schedule);
+           *valid.schedule);
   std::printf("delayed: h@%lld (was 10), f@%lld (was 10)\n\n",
               static_cast<long long>(
-                  det.result.schedule->start(*p.findTask("h")).ticks()),
+                  valid.schedule->start(*p.findTask("h")).ticks()),
               static_cast<long long>(
-                  det.result.schedule->start(*p.findTask("f")).ticks()));
+                  valid.schedule->start(*p.findTask("f")).ticks()));
 
   MinPowerOptions minOptions;
   minOptions.obs = obsCtx;
   MinPowerScheduler minPower(p, minOptions);
   const ScheduleResult improved =
-      minPower.improve(*det.graph, *det.result.schedule, det.result.stats);
+      minPower.improve(*valid.schedule, valid.stats);
   describe("Fig. 7: after min-power scheduling (g fills the gap)", p,
            *improved.schedule);
 

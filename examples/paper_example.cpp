@@ -56,18 +56,18 @@ int main(int argc, char** argv) {
 
   // Fig. 5: after max-power scheduling (h and f delayed).
   MaxPowerScheduler maxPower(p);
-  MaxPowerScheduler::Detailed det = maxPower.scheduleDetailed();
-  if (!det.result.ok()) {
-    std::cerr << "max-power failed: " << det.result.message << "\n";
+  const ScheduleResult valid = maxPower.schedule();
+  if (!valid.ok()) {
+    std::cerr << "max-power failed: " << valid.message << "\n";
     return 1;
   }
   show("Fig. 5: valid schedule after max-power scheduling", p,
-       *det.result.schedule);
+       *valid.schedule);
 
   // Fig. 7: after min-power scheduling (g fills the gap at t=10).
   MinPowerScheduler minPower(p);
   const ScheduleResult improved =
-      minPower.improve(*det.graph, *det.result.schedule, det.result.stats);
+      minPower.improve(*valid.schedule, valid.stats);
   show("Fig. 7: improved schedule after min-power scheduling", p,
        *improved.schedule);
   return 0;

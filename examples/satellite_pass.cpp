@@ -48,19 +48,19 @@ int main(int argc, char** argv) {
 
   // Stage comparison: hard constraints only, then the min-power polish.
   MaxPowerScheduler maxOnly(p);
-  MaxPowerScheduler::Detailed det = maxOnly.scheduleDetailed();
-  if (!det.result.ok()) {
-    std::cerr << "scheduling failed: " << det.result.message << "\n";
+  const ScheduleResult valid = maxOnly.schedule();
+  if (!valid.ok()) {
+    std::cerr << "scheduling failed: " << valid.message << "\n";
     return 1;
   }
   MinPowerScheduler minStage(p);
   const ScheduleResult polished =
-      minStage.improve(*det.graph, *det.result.schedule, det.result.stats);
+      minStage.improve(*valid.schedule, valid.stats);
 
   const auto stress = [&p](const Schedule& s) {
     return analyzeBatteryStress(s.powerProfile(), p.minPower());
   };
-  const BatteryStressReport before = stress(*det.result.schedule);
+  const BatteryStressReport before = stress(*valid.schedule);
   const BatteryStressReport after = stress(*polished.schedule);
   std::cout << "\nbattery draw   max-power-only    +min-power\n";
   std::cout << "  energy     " << std::setw(10) << before.drawnEnergy
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
 
   // Gantt with slack annotation ('~' marks where a bin may still slip).
   AsciiGanttOptions opt;
-  opt.slacks = computeSlacks(*det.graph, s.starts());
+  opt.slacks = computeSlacks(scheduleGraph(s), s.starts());
   std::cout << renderGantt(s, opt);
 
   return ScheduleValidator(p).validate(s).valid() ? 0 : 1;

@@ -106,7 +106,11 @@ void Pool::workerLoop(std::size_t self) {
       // inside task(), and a caller reading stats() after get() must
       // already see this run.
       tasksRun_.fetch_add(1, std::memory_order_relaxed);
-      task();
+      try {
+        task();
+      } catch (...) {
+        tasksFailed_.fetch_add(1, std::memory_order_relaxed);
+      }
       task = nullptr;
       continue;
     }
@@ -126,7 +130,8 @@ void Pool::workerLoop(std::size_t self) {
 Pool::Stats Pool::stats() const {
   return Stats{tasksRun_.load(std::memory_order_relaxed),
                tasksStolen_.load(std::memory_order_relaxed),
-               tasksRejected_.load(std::memory_order_relaxed)};
+               tasksRejected_.load(std::memory_order_relaxed),
+               tasksFailed_.load(std::memory_order_relaxed)};
 }
 
 void Pool::exportMetrics(obs::MetricsRegistry& registry) const {
@@ -135,6 +140,7 @@ void Pool::exportMetrics(obs::MetricsRegistry& registry) const {
   registry.add("exec.tasks_run", s.tasksRun);
   registry.add("exec.tasks_stolen", s.tasksStolen);
   registry.add("exec.tasks_rejected", s.tasksRejected);
+  registry.add("exec.tasks_failed", s.tasksFailed);
 }
 
 }  // namespace paws::exec

@@ -11,9 +11,9 @@
 //   * submit()/async() never block (beyond the victim deque's mutex);
 //   * the destructor drains every queued task, then joins — a Pool going
 //     out of scope is a full barrier;
-//   * tasks must not throw (async() captures exceptions in its future;
-//     plain submit() tasks run under noexcept expectations — PAWS_CHECK
-//     failures abort, like everywhere else in the code base).
+//   * async() captures exceptions in its future; a raw submit() or
+//     trySubmit() task that throws is counted (exec.tasks_failed) and its
+//     worker moves on — callers that need the error catch it in the task.
 //
 // Backpressure: a Pool may be constructed with a queue capacity, bounding
 // how many tasks can sit *waiting* in the deques (running tasks do not
@@ -29,6 +29,7 @@
 //   exec.tasks_run      (counter) tasks executed by workers
 //   exec.tasks_stolen   (counter) tasks taken from another worker's deque
 //   exec.tasks_rejected (counter) trySubmit() refusals at the queue bound
+//   exec.tasks_failed   (counter) raw tasks that exited by an exception
 #pragma once
 
 #include <atomic>
@@ -103,11 +104,12 @@ class Pool {
     std::uint64_t tasksRun = 0;
     std::uint64_t tasksStolen = 0;
     std::uint64_t tasksRejected = 0;
+    std::uint64_t tasksFailed = 0;
   };
   [[nodiscard]] Stats stats() const;
 
   /// Publishes exec.pool_threads / exec.tasks_run / exec.tasks_stolen /
-  /// exec.tasks_rejected.
+  /// exec.tasks_rejected / exec.tasks_failed.
   void exportMetrics(obs::MetricsRegistry& registry) const;
 
  private:
@@ -138,6 +140,7 @@ class Pool {
   std::atomic<std::uint64_t> tasksRun_{0};
   std::atomic<std::uint64_t> tasksStolen_{0};
   std::atomic<std::uint64_t> tasksRejected_{0};
+  std::atomic<std::uint64_t> tasksFailed_{0};
 };
 
 }  // namespace paws::exec

@@ -31,10 +31,6 @@ MaxPowerScheduler::MaxPowerScheduler(const Problem& problem,
     : problem_(problem), options_(options) {}
 
 ScheduleResult MaxPowerScheduler::schedule() {
-  return scheduleDetailed().result;
-}
-
-MaxPowerScheduler::Detailed MaxPowerScheduler::scheduleDetailed() {
   decisions_.clear();
   delaysLeft_ = options_.maxDelays;
   rngState_ = options_.randomSeed == 0 ? 1 : options_.randomSeed;
@@ -53,26 +49,26 @@ MaxPowerScheduler::Detailed MaxPowerScheduler::scheduleDetailed() {
   for (TaskId v : problem_.taskIds()) {
     const Task& task = problem_.task(v);
     if (task.power + problem_.backgroundPower() > problem_.maxPower()) {
-      Detailed out;
-      out.result.status = SchedStatus::kPowerInfeasible;
+      ScheduleResult out;
+      out.status = SchedStatus::kPowerInfeasible;
       std::ostringstream os;
       os << "task '" << task.name << "' draws " << task.power
          << " + background " << problem_.backgroundPower()
          << " > budget " << problem_.maxPower();
-      out.result.message = os.str();
+      out.message = os.str();
       return out;
     }
   }
 
   SchedulerStats stats;
-  Attempt a = attempt(0, stats);
-  a.result.stats += stats;
+  ScheduleResult result = attempt(0, stats);
+  result.stats += stats;
 
   if (options_.obs.metrics != nullptr) {
     options_.obs.metrics->add("profile.rebuilds", profileRebuilds_);
     options_.obs.metrics->add("profile.incremental_updates", profileUpdates_);
     options_.obs.metrics->add("profile.restores", profileRestores_);
-    if (a.result.status == SchedStatus::kDeadlineExceeded) {
+    if (result.status == SchedStatus::kDeadlineExceeded) {
       // The trip may have fired in a nested TimingScheduler's own guard;
       // re-checking ours recovers the reason (cancellation stays set and
       // deadlines do not un-expire).
@@ -82,11 +78,7 @@ MaxPowerScheduler::Detailed MaxPowerScheduler::scheduleDetailed() {
           1);
     }
   }
-
-  Detailed out;
-  out.result = std::move(a.result);
-  out.graph = std::move(a.graph);
-  return out;
+  return result;
 }
 
 void MaxPowerScheduler::applyDecision(ConstraintGraph& graph,
@@ -98,12 +90,12 @@ void MaxPowerScheduler::applyDecision(ConstraintGraph& graph,
   }
 }
 
-MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
-                                                      SchedulerStats& stats) {
-  Attempt a;
+ScheduleResult MaxPowerScheduler::attempt(std::uint32_t depth,
+                                          SchedulerStats& stats) {
+  ScheduleResult a;
   if (depth > options_.maxRecursionDepth) {
-    a.result.status = SchedStatus::kBudgetExhausted;
-    a.result.message = "max-power recursion depth exhausted";
+    a.status = SchedStatus::kBudgetExhausted;
+    a.message = "max-power recursion depth exhausted";
     return a;
   }
   ++stats.recursions;
@@ -121,11 +113,11 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
   TimingScheduler timing(problem_, options_.timing);
   TimingScheduler::Output tOut = timing.run(graph, engine, stats);
   if (!tOut.ok) {
-    a.result.status = tOut.stopReason != guard::StopReason::kNone
-                          ? SchedStatus::kDeadlineExceeded
-                      : tOut.budgetExhausted ? SchedStatus::kBudgetExhausted
-                                             : SchedStatus::kTimingInfeasible;
-    a.result.message = tOut.message;
+    a.status = tOut.stopReason != guard::StopReason::kNone
+                   ? SchedStatus::kDeadlineExceeded
+               : tOut.budgetExhausted ? SchedStatus::kBudgetExhausted
+                                      : SchedStatus::kTimingInfeasible;
+    a.message = tOut.message;
     return a;
   }
   std::vector<Time> starts = std::move(tOut.starts);
@@ -159,18 +151,16 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
     // cleanly rolled-back attempt (the recursion's rollback paths do the
     // rest on the way out).
     if (guard_.check() != guard::StopReason::kNone) {
-      a.result.status = SchedStatus::kDeadlineExceeded;
-      a.result.message = guard_.reason() == guard::StopReason::kCancelled
-                             ? "search cancelled during spike elimination"
-                             : "deadline exceeded during spike elimination";
+      a.status = SchedStatus::kDeadlineExceeded;
+      a.message = guard_.reason() == guard::StopReason::kCancelled
+                      ? "search cancelled during spike elimination"
+                      : "deadline exceeded during spike elimination";
       return a;
     }
     const std::optional<Time> spikeAt = pe.firstSpike(spikeHorizon);
     if (!spikeAt) {
-      a.result.status = SchedStatus::kOk;
-      a.result.schedule = Schedule(&problem_, starts);
-      a.starts = std::move(starts);
-      a.graph = std::move(graph);
+      a.status = SchedStatus::kOk;
+      a.schedule = Schedule(&problem_, std::move(starts));
       return a;
     }
 
@@ -193,10 +183,10 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
         decisions_.resize(savedDecisions);
         graph.rollbackTo(graphMark);
         engine.restore(engineMark);
-        a.result.status = SchedStatus::kDeadlineExceeded;
-        a.result.message = guard_.reason() == guard::StopReason::kCancelled
-                               ? "search cancelled during spike elimination"
-                               : "deadline exceeded during spike elimination";
+        a.status = SchedStatus::kDeadlineExceeded;
+        a.message = guard_.reason() == guard::StopReason::kCancelled
+                        ? "search cancelled during spike elimination"
+                        : "deadline exceeded during spike elimination";
         return a;
       }
       if (pe.valueAt(t) <= pmax) break;
@@ -208,10 +198,10 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
         decisions_.resize(savedDecisions);
         graph.rollbackTo(graphMark);
         engine.restore(engineMark);
-        a.result.status = SchedStatus::kPowerInfeasible;
+        a.status = SchedStatus::kPowerInfeasible;
         std::ostringstream os;
         os << "cannot reduce power below " << pmax << " at t=" << t;
-        a.result.message = os.str();
+        a.message = os.str();
         return a;
       }
 
@@ -243,8 +233,8 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
         decisions_.resize(savedDecisions);
         graph.rollbackTo(graphMark);
         engine.restore(engineMark);
-        a.result.status = SchedStatus::kBudgetExhausted;
-        a.result.message = "max-power delay budget exhausted";
+        a.status = SchedStatus::kBudgetExhausted;
+        a.message = "max-power delay budget exhausted";
         return a;
       }
       --delaysLeft_;
@@ -302,23 +292,23 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
                            u.value(), starts[u.index()].ticks(),
                            /*value=*/0, depth);
       }
-      Attempt sub = attempt(depth + 1, stats);
-      if (sub.result.ok()) return sub;
+      ScheduleResult sub = attempt(depth + 1, stats);
+      if (sub.ok()) return sub;
       decisions_.resize(lockMark);
 
       // Budget and deadline trips are both terminal: retrying with one more
       // victim can only burn more of whatever ran out.
-      if (sub.result.status == SchedStatus::kBudgetExhausted ||
-          sub.result.status == SchedStatus::kDeadlineExceeded) {
+      if (sub.status == SchedStatus::kBudgetExhausted ||
+          sub.status == SchedStatus::kDeadlineExceeded) {
         decisions_.resize(savedDecisions);
         return sub;
       }
       if (remaining.empty()) {
         decisions_.resize(savedDecisions);
-        a.result.status = SchedStatus::kPowerInfeasible;
+        a.status = SchedStatus::kPowerInfeasible;
         std::ostringstream os;
         os << "reschedule failed for spike at t=" << t;
-        a.result.message = os.str();
+        a.message = os.str();
         return a;
       }
 
@@ -331,8 +321,8 @@ MaxPowerScheduler::Attempt MaxPowerScheduler::attempt(std::uint32_t depth,
       remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(pick));
       if (delaysLeft_ == 0) {
         decisions_.resize(savedDecisions);
-        a.result.status = SchedStatus::kBudgetExhausted;
-        a.result.message = "max-power delay budget exhausted";
+        a.status = SchedStatus::kBudgetExhausted;
+        a.message = "max-power delay budget exhausted";
         return a;
       }
       --delaysLeft_;

@@ -27,9 +27,10 @@
 // The scheduler may fail on feasible instances (the paper notes it does not
 // enumerate all partial orders); it never returns a schedule violating
 // timing constraints or Pmax.
+// The schedule is the stage's whole output; its delay/lock graph stays
+// private, so the locks taken here do not bind the min-power stage.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "graph/constraint_graph.hpp"
@@ -44,16 +45,7 @@ class MaxPowerScheduler {
   explicit MaxPowerScheduler(const Problem& problem,
                              MaxPowerOptions options = {});
 
-  /// Result plus the decorated constraint graph (user constraints +
-  /// serialization + delay/lock decisions) that produced it; MinPower
-  /// scheduling continues on that graph.
-  struct Detailed {
-    ScheduleResult result;
-    std::optional<ConstraintGraph> graph;
-  };
-
   ScheduleResult schedule();
-  Detailed scheduleDetailed();
 
  private:
   /// One delay/lock decision, replayed onto fresh graphs across recursions.
@@ -63,13 +55,7 @@ class MaxPowerScheduler {
     bool lock;  // lock => also pin sigma(task) <= at
   };
 
-  struct Attempt {
-    ScheduleResult result;
-    std::optional<ConstraintGraph> graph;
-    std::vector<Time> starts;
-  };
-
-  Attempt attempt(std::uint32_t depth, SchedulerStats& stats);
+  ScheduleResult attempt(std::uint32_t depth, SchedulerStats& stats);
   void applyDecision(ConstraintGraph& graph, const Decision& d) const;
 
   const Problem& problem_;
@@ -80,7 +66,7 @@ class MaxPowerScheduler {
   std::uint32_t rngState_ = 1;
   // Profile effort accumulated across all recursive attempts (each attempt
   // owns a ProfileEngine; counters are flushed here as attempts unwind and
-  // exported as profile.* metrics by scheduleDetailed).
+  // exported as profile.* metrics by schedule()).
   std::uint64_t profileRebuilds_ = 0;
   std::uint64_t profileUpdates_ = 0;
   std::uint64_t profileRestores_ = 0;

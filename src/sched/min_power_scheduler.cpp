@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/check.hpp"
 #include "graph/longest_path.hpp"
 #include "obs/incumbents.hpp"
 #include "obs/metrics.hpp"
@@ -59,47 +58,26 @@ ScheduleResult MinPowerScheduler::schedule() {
   options_.budget = options_.budget.resolved();
   // Warm start: a caller-provided valid schedule skips the timing and
   // max-power stages and goes straight to gap-filling improvement (see
-  // MinPowerOptions::initialStarts). The vector is pinned into the graph
-  // as anchor->v delay edges: for a timing-feasible start vector the
-  // longest-path ASAP solution then equals the vector exactly, which is
-  // the invariant improve() builds its slack evaluation on. Any validation
-  // failure falls through to the cold pipeline.
+  // MinPowerOptions::initialStarts). A vector improve() rejects falls
+  // through to the cold pipeline.
   if (options_.initialStarts.has_value()) {
     const std::vector<Time>& starts = *options_.initialStarts;
-    if (starts.size() == problem_.numVertices() && !starts.empty() &&
+    if (starts.size() == problem_.numVertices() &&
         starts[0] == Time::zero()) {
-      ConstraintGraph graph = problem_.buildGraph();
-      for (TaskId v : problem_.taskIds()) {
-        graph.addEdge(kAnchorTask, v, starts[v.index()] - Time::zero(),
-                      EdgeKind::kDelay);
-      }
-      LongestPathEngine probe(graph);
-      const LongestPathResult& lp = probe.compute(kAnchorTask);
-      bool pinned = lp.feasible;
-      for (std::size_t i = 0; pinned && i < starts.size(); ++i) {
-        pinned = lp.dist[i] == starts[i];
-      }
-      if (pinned && !profileOf(problem_, starts)
-                         .firstSpike(problem_.maxPower())
-                         .has_value()) {
-        SchedulerStats stats;
-        stats.longestPathRuns = 1;  // the pinning probe above
-        return improve(graph, Schedule(&problem_, starts), stats);
-      }
+      ScheduleResult warm = improve(Schedule(&problem_, starts));
+      if (warm.status != SchedStatus::kInvalidInput) return warm;
     }
   }
   MaxPowerOptions maxOptions = options_.maxPower;
   maxOptions.obs.inheritFrom(options_.obs);
   maxOptions.budget.inheritFrom(options_.budget);
   MaxPowerScheduler maxPower(problem_, maxOptions);
-  MaxPowerScheduler::Detailed det = maxPower.scheduleDetailed();
-  if (!det.result.ok()) return std::move(det.result);
-  PAWS_CHECK(det.graph.has_value());
-  return improve(*det.graph, *det.result.schedule, det.result.stats);
+  ScheduleResult r = maxPower.schedule();
+  if (!r.ok()) return r;
+  return improve(*r.schedule, r.stats);
 }
 
-ScheduleResult MinPowerScheduler::improve(ConstraintGraph& graph,
-                                          const Schedule& valid,
+ScheduleResult MinPowerScheduler::improve(const Schedule& valid,
                                           SchedulerStats stats) {
   obs::PhaseTimer phaseTimer(options_.obs, "min-power");
   ScheduleResult out;
@@ -118,8 +96,23 @@ ScheduleResult MinPowerScheduler::improve(ConstraintGraph& graph,
   // aggregates, and restoring on reject.
   power::ProfileEngine pe(problem_.backgroundPower(), pmin, pmax);
   pe.rebuild(problem_, starts);
-  PAWS_CHECK_MSG(!pe.firstSpike(spikeHorizon),
-                 "improve() requires a power-valid input schedule");
+
+  // The graph the schedule implies; its ASAP solution is the schedule iff
+  // the schedule is time-valid. Seeding the engine once lets every
+  // candidate-move evaluation below run incrementally (one delay edge
+  // added, checkpoint-restored on reject).
+  ConstraintGraph graph = scheduleGraph(valid);
+  LongestPathEngine engine(graph);
+  engine.setObs(options_.obs);
+  const LongestPathResult& seed = engine.compute(kAnchorTask);
+  ++out.stats.longestPathRuns;
+  if (!seed.feasible || seed.dist != starts ||
+      pe.firstSpike(spikeHorizon).has_value()) {
+    out.status = SchedStatus::kInvalidInput;
+    out.message = "improve() needs a time-valid and Pmax-valid schedule";
+    return out;
+  }
+
   double rho = pe.utilization();
   // Anytime curve: the schedule handed to improve() is the first
   // incumbent; every accepted move below lowers Ec and appends a point.
@@ -128,13 +121,6 @@ ScheduleResult MinPowerScheduler::improve(ConstraintGraph& graph,
     options_.obs.incumbents->record(pe.energyAbove().milliwattTicks());
   };
   recordIncumbent();
-
-  LongestPathEngine engine(graph);
-  engine.setObs(options_.obs);
-  // Seed the engine once so every candidate-move evaluation below runs
-  // incrementally (one delay edge added, checkpoint-restored on reject).
-  PAWS_CHECK(engine.compute(kAnchorTask).feasible);
-  ++out.stats.longestPathRuns;
 
   ScanOrder scan = options_.scanOrder;
   SlotHeuristic slot = options_.slotHeuristic;

@@ -19,7 +19,8 @@
 //
 // Min power is a soft constraint: the scheduler may leave gaps behind; it
 // never worsens rho, never violates timing or Pmax, and never touches the
-// schedule when rho is already 1.
+// schedule when rho is already 1. Slacks come from the graph the input
+// schedule implies (sched/slack.hpp scheduleGraph), nothing else.
 #pragma once
 
 #include "model/problem.hpp"
@@ -37,11 +38,10 @@ class MinPowerScheduler {
   /// Full pipeline: timing -> max power -> min power.
   ScheduleResult schedule();
 
-  /// Improvement stage only: polishes an existing valid schedule whose
-  /// decorated graph (serialization + decisions) is `graph`. Returns the
-  /// improved result; `graph` accumulates the accepted delay edges.
-  ScheduleResult improve(ConstraintGraph& graph, const Schedule& valid,
-                         SchedulerStats stats = {});
+  /// Improvement stage only: polishes `valid`, a schedule of this problem
+  /// that is time- and Pmax-valid (spikes before ignoreSpikesBeforeTick
+  /// tolerated), adding its effort to `stats`. Other input: kInvalidInput.
+  ScheduleResult improve(const Schedule& valid, SchedulerStats stats = {});
 
  private:
   const Problem& problem_;

@@ -91,11 +91,10 @@ struct MinPowerOptions {
   /// Warm start: a vertex-indexed start vector (slot 0 = anchor at 0) for
   /// a schedule of this problem that is already timing- AND Pmax-valid.
   /// When set, MinPowerScheduler::schedule() skips the timing + max-power
-  /// stages entirely and runs only the gap-filling improvement from these
-  /// starts, pinned into the constraint graph as anchor->v delay edges so
-  /// the graph's ASAP solution equals the vector exactly. An infeasible,
-  /// mis-sized or power-invalid vector is ignored (the full cold pipeline
-  /// runs instead) — a stale warm start can cost time, never correctness.
+  /// stages entirely and hands these starts to improve(). A mis-sized
+  /// vector, or one improve() rejects (timing, resource overlap or Pmax),
+  /// is ignored and the full cold pipeline runs instead — a stale warm
+  /// start can cost time, never correctness.
   /// Used by the cache near-miss path (cache/cached_solve.cpp) to polish a
   /// revalidated schedule under changed Pmin instead of re-solving.
   std::optional<std::vector<Time>> initialStarts;

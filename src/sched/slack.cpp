@@ -1,6 +1,7 @@
 #include "sched/slack.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "base/check.hpp"
 
@@ -28,6 +29,29 @@ std::vector<Duration> computeSlacks(const ConstraintGraph& graph,
     slacks[i] = slackOf(graph, sigma, TaskId(static_cast<std::uint32_t>(i)));
   }
   return slacks;
+}
+
+ConstraintGraph scheduleGraph(const Schedule& schedule) {
+  const Problem& problem = schedule.problem();
+  const std::vector<Time>& sigma = schedule.starts();
+  ConstraintGraph graph = problem.buildGraph();
+  // Tasks in start order; the stable sort keeps id order among ties.
+  std::vector<TaskId> order = problem.taskIds();
+  std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+    return sigma[a.index()] < sigma[b.index()];
+  });
+  std::vector<std::optional<TaskId>> last(problem.numResources());
+  for (TaskId v : order) {
+    std::optional<TaskId>& prev = last[problem.task(v).resource.index()];
+    if (prev.has_value()) {
+      graph.addEdge(*prev, v, problem.task(*prev).delay,
+                    EdgeKind::kSerialization);
+    }
+    prev = v;
+    graph.addEdge(kAnchorTask, v, sigma[v.index()] - Time::zero(),
+                  EdgeKind::kDelay);
+  }
+  return graph;
 }
 
 }  // namespace paws

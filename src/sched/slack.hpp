@@ -12,9 +12,8 @@
 // and Duration::max() when v has no out-edges (delay bounded only by the
 // scheduler's own heuristics).
 //
-// The graph must already contain the serialization/decision edges the
-// current schedule was computed with — slacks on the bare user graph would
-// ignore resource exclusivity.
+// The graph must also carry sigma's resource order — slacks on the bare
+// user graph would ignore resource exclusivity; scheduleGraph() adds it.
 #pragma once
 
 #include <vector>
@@ -22,6 +21,7 @@
 #include "base/ids.hpp"
 #include "base/time.hpp"
 #include "graph/constraint_graph.hpp"
+#include "sched/schedule.hpp"
 
 namespace paws {
 
@@ -32,5 +32,11 @@ Duration slackOf(const ConstraintGraph& graph, const std::vector<Time>& sigma,
 /// Slacks for all vertices (index-aligned with `sigma`).
 std::vector<Duration> computeSlacks(const ConstraintGraph& graph,
                                     const std::vector<Time>& sigma);
+
+/// The graph a schedule implies: the user graph, a kSerialization edge
+/// (weight d(prev)) between consecutive same-resource tasks in start order
+/// (ties by id) and a kDelay edge anchor->v at sigma(v) per task. Its ASAP
+/// solution is exactly sigma iff the schedule is time-valid.
+ConstraintGraph scheduleGraph(const Schedule& schedule);
 
 }  // namespace paws

@@ -10,8 +10,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <future>
+#include <optional>
+#include <string>
 
 #include "cache/cached_solve.hpp"
 #include "guard/budget.hpp"
@@ -436,10 +439,14 @@ bool Daemon::handleRequest(Connection& conn, const std::string& payload) {
   }
   const Problem& prob = *problem.problem;
   auto perRequest = std::make_shared<obs::MetricsRegistry>();
-  auto solvePromise = std::make_shared<
-      std::promise<std::pair<ScheduleResult, cache::SolveInfo>>>();
-  std::future<std::pair<ScheduleResult, cache::SolveInfo>> solveFuture =
-      solvePromise->get_future();
+  // A throw in the solve costs this request an `error`, never the daemon.
+  struct Solved {
+    ScheduleResult result;
+    cache::SolveInfo info;
+    std::optional<std::string> internalError;
+  };
+  auto solvePromise = std::make_shared<std::promise<Solved>>();
+  std::future<Solved> solveFuture = solvePromise->get_future();
 
   // Count the request in-flight from BEFORE admission to AFTER its
   // response hits the socket: the drain supervisor must not cut a
@@ -452,9 +459,16 @@ bool Daemon::handleRequest(Connection& conn, const std::string& payload) {
         spec.budget.cancel = token;
         spec.budget = spec.budget.resolved();
         spec.obs.metrics = perRequest.get();
-        cache::SolveInfo info;
-        ScheduleResult r = solveThroughCache(&cache_, prob, spec, &info);
-        solvePromise->set_value({std::move(r), info});
+        Solved solved;
+        try {
+          solved.result =
+              solveThroughCache(&cache_, prob, spec, &solved.info);
+        } catch (const std::exception& e) {
+          solved.internalError = e.what();
+        } catch (...) {
+          solved.internalError = "unknown exception";
+        }
+        solvePromise->set_value(std::move(solved));
       });
   if (!admitted) {
     conn.solving.store(false, std::memory_order_release);
@@ -481,7 +495,7 @@ bool Daemon::handleRequest(Connection& conn, const std::string& payload) {
     // During a drain the supervisor fires the same CancelSource; either
     // way the worker unwinds and the future becomes ready promptly.
   }
-  auto [result, info] = solveFuture.get();
+  auto [result, info, internalError] = solveFuture.get();
   conn.solving.store(false, std::memory_order_release);
   foldMetrics(*perRequest);
 
@@ -497,6 +511,11 @@ bool Daemon::handleRequest(Connection& conn, const std::string& payload) {
                         : (result.status == SchedStatus::kOk
                                ? ""
                                : toString(result.status));
+  if (internalError.has_value()) {
+    response.outcome = "error";
+    response.reason = *internalError;
+    bumpServe("serve.internal_errors");
+  }
   response.mode = toString(mode);
   response.degraded = degraded;
   response.cacheHit = info.servedFromCache();

@@ -23,6 +23,7 @@
 #include "io/schedule_io.hpp"
 #include "model/paper_example.hpp"
 #include "sched/exhaustive_scheduler.hpp"
+#include "sched/min_power_scheduler.hpp"
 #include "sched/polish.hpp"
 #include "sched/power_aware_scheduler.hpp"
 #include "sched/serial_scheduler.hpp"
@@ -151,6 +152,36 @@ TEST(WarmStartTest, RandomInstancesByteIdenticalAndStrictlyFewerNodes) {
   }
   EXPECT_GE(strictlyFewer, 8)
       << "the warm start must actually prune on most instances";
+}
+
+TEST(WarmStartTest, MinPowerWarmStartUnderRaisedPminStaysValid) {
+  // The near-miss path's polish: a pipeline schedule, still valid after
+  // Pmin rises by 30%, seeds MinPowerOptions::initialStarts. Gap filling
+  // must respect resource exclusivity, so every `ok` it returns passes
+  // the validator (two resources crowd the tasks onto shared resources).
+  int warmRuns = 0;
+  for (const std::size_t numTasks : {6, 12, 20}) {
+    for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+      GeneratorConfig cfg;
+      cfg.seed = seed;
+      cfg.numTasks = numTasks;
+      cfg.numResources = 2;
+      const GeneratedProblem gp = generateRandomProblem(cfg);
+      const ScheduleResult base = PowerAwareScheduler(gp.problem).schedule();
+      if (!base.ok()) continue;
+      Problem raised(gp.problem);
+      raised.setMinPower(Watts::fromMilliwatts(
+          gp.problem.minPower().milliwatts() * 13 / 10));
+      MinPowerOptions options;
+      options.initialStarts = base.schedule->starts();
+      const ScheduleResult warm = MinPowerScheduler(raised, options).schedule();
+      ++warmRuns;
+      if (!warm.ok()) continue;
+      EXPECT_TRUE(ScheduleValidator(raised).validate(*warm.schedule).valid())
+          << numTasks << " tasks, seed " << seed;
+    }
+  }
+  EXPECT_GE(warmRuns, 100) << "the sweep must exercise the warm start";
 }
 
 TEST(CachedSolveTest, SecondSolveIsAnExactHitWithIdenticalBytes) {

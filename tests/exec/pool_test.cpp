@@ -39,6 +39,26 @@ TEST(PoolTest, AsyncCapturesExceptions) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
+TEST(PoolTest, ThrowingRawTaskLeavesThePoolRunning) {
+  obs::MetricsRegistry registry;
+  {
+    Pool pool(1, /*maxQueued=*/4);
+    std::promise<void> started;
+    std::future<void> throwing = started.get_future();
+    ASSERT_TRUE(pool.trySubmit([&started] {
+      started.set_value();
+      throw std::runtime_error("boom");
+    }));
+    throwing.wait();
+    // The single worker must survive the throw to run what comes next.
+    std::future<int> after = pool.async([] { return 7; });
+    EXPECT_EQ(after.get(), 7);
+    EXPECT_EQ(pool.stats().tasksFailed, 1u);
+    pool.exportMetrics(registry);
+  }
+  EXPECT_EQ(registry.counter("exec.tasks_failed"), 1u);
+}
+
 TEST(PoolTest, StatsCountRunTasks) {
   Pool pool(3);
   std::vector<std::future<int>> fs;

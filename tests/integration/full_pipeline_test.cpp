@@ -130,14 +130,15 @@ TEST_F(SensorNodeFlow, SerialBaselineIsSlowerButCooler) {
 }
 
 TEST_F(SensorNodeFlow, SlackAnnotatedGanttRenders) {
-  // Slack annotation needs the decorated graph; wire it the way the
-  // satellite example does.
+  // Slack annotation needs the graph the schedule implies; wire it the way
+  // the satellite example does.
   MaxPowerScheduler maxPower(problem_);
-  MaxPowerScheduler::Detailed det = maxPower.scheduleDetailed();
-  ASSERT_TRUE(det.result.ok());
+  const ScheduleResult valid = maxPower.schedule();
+  ASSERT_TRUE(valid.ok());
+  const Schedule& s = *valid.schedule;
   AsciiGanttOptions opt;
-  opt.slacks = computeSlacks(*det.graph, det.result.schedule->starts());
-  const std::string view = renderTimeView(*det.result.schedule, opt);
+  opt.slacks = computeSlacks(scheduleGraph(s), s.starts());
+  const std::string view = renderTimeView(s, opt);
   EXPECT_NE(view.find('~'), std::string::npos)
       << "some task must have visible slack";
 }

@@ -79,7 +79,7 @@ TEST(GoldenScheduleTest, RandomInstancesMaxAndMinPower) {
       {{"ok", 0x4b3bd5b45cdc6ac1ull, 8, 7, 8, 0},
        {"ok", 0x4b3bd5b45cdc6ac1ull, 8, 7, 8, 0}},
       {{"ok", 0xac42d468da09790full, 3, 2, 2, 0},
-       {"ok", 0xac42d468da09790full, 3, 2, 2, 0}},
+       {"ok", 0xfde8bf4b5ce1357bull, 3, 2, 2, 1}},
       {{"ok", 0x3423333c8fb2cd8aull, 1, 0, 1, 0},
        {"ok", 0xd0fbe000e66fdfb8ull, 1, 0, 1, 1}},
       {{"ok", 0xfb4ac17f2cd60cc3ull, 0, 0, 1, 0},

@@ -112,18 +112,17 @@ TEST_P(SeededIoAnalysis, EcCurveIsConvexDecreasingAndExact) {
 TEST_P(SeededIoAnalysis, MinPowerStageNeverWorsensBatteryStress) {
   const GeneratedProblem gp = generate();
   MaxPowerScheduler maxOnly(gp.problem);
-  MaxPowerScheduler::Detailed det = maxOnly.scheduleDetailed();
-  if (!det.result.ok()) {
+  const ScheduleResult before = maxOnly.schedule();
+  if (!before.ok()) {
     SUCCEED();
     return;
   }
   MinPowerScheduler pipeline(gp.problem);
-  const ScheduleResult after =
-      pipeline.improve(*det.graph, *det.result.schedule);
+  const ScheduleResult after = pipeline.improve(*before.schedule);
   ASSERT_TRUE(after.ok());
   const Watts pmin = gp.problem.minPower();
   const BatteryStressReport rb =
-      analyzeBatteryStress(det.result.schedule->powerProfile(), pmin);
+      analyzeBatteryStress(before.schedule->powerProfile(), pmin);
   const BatteryStressReport ra =
       analyzeBatteryStress(after.schedule->powerProfile(), pmin);
   EXPECT_LE(ra.drawnEnergy, rb.drawnEnergy) << "seed " << GetParam();

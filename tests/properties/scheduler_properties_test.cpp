@@ -117,16 +117,14 @@ TEST_P(SeededProperty, MaxPowerOutputRespectsBudgetWhenItSucceeds) {
 TEST_P(SeededProperty, MinPowerNeverRegressesAndStaysValid) {
   const GeneratedProblem gp = generate();
   MaxPowerScheduler maxPower(gp.problem);
-  MaxPowerScheduler::Detailed det = maxPower.scheduleDetailed();
-  if (!det.result.ok()) {
+  const ScheduleResult valid = maxPower.schedule();
+  if (!valid.ok()) {
     SUCCEED();
     return;
   }
-  const double rhoBefore =
-      det.result.schedule->utilization(gp.problem.minPower());
+  const double rhoBefore = valid.schedule->utilization(gp.problem.minPower());
   MinPowerScheduler minPower(gp.problem);
-  ScheduleResult improved =
-      minPower.improve(*det.graph, *det.result.schedule);
+  ScheduleResult improved = minPower.improve(*valid.schedule);
   ASSERT_TRUE(improved.ok());
   EXPECT_GE(improved.schedule->utilization(gp.problem.minPower()) + 1e-12,
             rhoBefore)

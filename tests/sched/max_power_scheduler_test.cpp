@@ -140,23 +140,6 @@ TEST(MaxPowerSchedulerTest, ValidScheduleNeverViolatesTiming) {
   EXPECT_TRUE(report.valid()) << "power-valid implies time-valid too";
 }
 
-TEST(MaxPowerSchedulerTest, DetailedReturnsDecoratedGraph) {
-  const Problem p = makePaperExampleProblem();
-  MaxPowerScheduler scheduler(p);
-  const MaxPowerScheduler::Detailed det = scheduler.scheduleDetailed();
-  ASSERT_TRUE(det.result.ok());
-  ASSERT_TRUE(det.graph.has_value());
-  // The decorated graph carries serialization and delay edges on top of
-  // the user graph.
-  bool hasSerialization = false, hasDelay = false;
-  for (const ConstraintEdge& e : det.graph->edges()) {
-    hasSerialization |= e.kind == EdgeKind::kSerialization;
-    hasDelay |= e.kind == EdgeKind::kDelay;
-  }
-  EXPECT_TRUE(hasSerialization);
-  EXPECT_TRUE(hasDelay);
-}
-
 TEST(MaxPowerSchedulerTest, RandomVictimOrderStillValid) {
   const Problem p = makePaperExampleProblem();
   MaxPowerOptions opt;

@@ -121,8 +121,7 @@ TEST(MinPowerSchedulerTest, GapFillingRespectsPmax) {
 TEST(MinPowerSchedulerTest, ImproveRequiresPowerValidInput) {
   const Problem p = makePaperExampleProblem();
   // Hand the improver a spiking schedule: all tasks at ASAP including the
-  // spike at [10,15).
-  ConstraintGraph g = p.buildGraph();
+  // spike at [10,15). It is refused with a structured status, not an abort.
   std::vector<Time> starts(p.numVertices(), Time::zero());
   const char* names[] = {"a", "b", "c", "d", "e", "f", "g", "h", "i"};
   const Time asap[] = {Time(0),  Time(5),  Time(10), Time(5), Time(20),
@@ -132,7 +131,9 @@ TEST(MinPowerSchedulerTest, ImproveRequiresPowerValidInput) {
   }
   const Schedule spiky(&p, starts);
   MinPowerScheduler pipeline(p);
-  EXPECT_THROW((void)pipeline.improve(g, spiky), CheckError);
+  const ScheduleResult r = pipeline.improve(spiky);
+  EXPECT_EQ(r.status, SchedStatus::kInvalidInput);
+  EXPECT_FALSE(r.schedule.has_value());
 }
 
 TEST(PowerAwareSchedulerTest, MultiTrialMatchesOrBeatsSingleRun) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/longest_path.hpp"
+#include "model/paper_example.hpp"
+#include "sched/max_power_scheduler.hpp"
+
 namespace paws {
 namespace {
 
@@ -79,6 +83,43 @@ TEST(SlackTest, DelayWithinSlackStaysValidProperty) {
     EXPECT_GE(sigma[e.to.index()] - sigma[e.from.index()], e.weight)
         << "edge " << e.from << "->" << e.to;
   }
+}
+
+TEST(SlackTest, ScheduleGraphSolvesToItsValidSchedule) {
+  const Problem p = makePaperExampleProblem();
+  const ScheduleResult r = MaxPowerScheduler(p).schedule();
+  ASSERT_TRUE(r.ok()) << r.message;
+  const Schedule& s = *r.schedule;
+  const ConstraintGraph g = scheduleGraph(s);
+  LongestPathEngine engine(g);
+  const LongestPathResult& lp = engine.compute(kAnchorTask);
+  ASSERT_TRUE(lp.feasible);
+  EXPECT_EQ(lp.dist, s.starts());
+  // Serialization edges join same-resource tasks in start order.
+  int serialization = 0;
+  for (const ConstraintEdge& e : g.edges()) {
+    if (e.kind != EdgeKind::kSerialization) continue;
+    ++serialization;
+    EXPECT_EQ(p.task(e.from).resource, p.task(e.to).resource);
+    EXPECT_LE(s.end(e.from), s.start(e.to));
+  }
+  EXPECT_GT(serialization, 0);
+}
+
+TEST(SlackTest, ScheduleGraphExposesAResourceOverlap) {
+  using namespace paws::literals;
+  Problem p;
+  const ResourceId cpu = p.addResource("cpu");
+  const TaskId a = p.addTask("a", Duration(4), 1_W, cpu);
+  const TaskId b = p.addTask("b", Duration(4), 1_W, cpu);
+  std::vector<Time> starts(p.numVertices(), Time::zero());
+  starts[b.index()] = Time(2);  // b starts while a still runs
+  const ConstraintGraph g = scheduleGraph(Schedule(&p, starts));
+  LongestPathEngine engine(g);
+  const LongestPathResult& lp = engine.compute(kAnchorTask);
+  ASSERT_TRUE(lp.feasible);
+  EXPECT_EQ(lp.dist[a.index()], Time(0));
+  EXPECT_EQ(lp.dist[b.index()], Time(4)) << "a -> b serialization pushes b";
 }
 
 }  // namespace

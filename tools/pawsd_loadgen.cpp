@@ -27,7 +27,12 @@
 // assertable. The summary line is the contract consumed by tests:
 //
 //   loadgen: sent=32 ok=20 anytime=0 cached=12 overloaded=8 invalid=4
-//            cancelled=0 degraded=0 no_response=0 connect_fail=0
+//            cancelled=0 degraded=0 infeasible=0 deadline=0 budget=0
+//            error=0 no_response=0 connect_fail=0
+//
+// Every response outcome has its own tally (cached and degraded are flags
+// counted on top of the outcome). `error` is the daemon's internal-failure
+// outcome; an outcome outside the protocol's vocabulary counts there too.
 //
 // Exit 0 when every *well-formed* exchange got a structured response
 // (overloaded counts as structured — shedding is correct behaviour);
@@ -82,7 +87,10 @@ struct Tally {
   std::uint64_t invalid = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t degraded = 0;
-  std::uint64_t other = 0;
+  std::uint64_t infeasible = 0;
+  std::uint64_t deadline = 0;
+  std::uint64_t budget = 0;
+  std::uint64_t error = 0;
   std::uint64_t noResponse = 0;
   std::uint64_t connectFail = 0;
 
@@ -95,7 +103,10 @@ struct Tally {
     invalid += rhs.invalid;
     cancelled += rhs.cancelled;
     degraded += rhs.degraded;
-    other += rhs.other;
+    infeasible += rhs.infeasible;
+    deadline += rhs.deadline;
+    budget += rhs.budget;
+    error += rhs.error;
     noResponse += rhs.noResponse;
     connectFail += rhs.connectFail;
     return *this;
@@ -218,8 +229,14 @@ void classify(const paws::serve::Response& response, Tally& tally) {
     ++tally.invalid;
   } else if (response.outcome == "cancelled") {
     ++tally.cancelled;
+  } else if (response.outcome == "infeasible") {
+    ++tally.infeasible;
+  } else if (response.outcome == "deadline") {
+    ++tally.deadline;
+  } else if (response.outcome == "budget") {
+    ++tally.budget;
   } else {
-    ++tally.other;  // infeasible / deadline / budget / error
+    ++tally.error;
   }
 }
 
@@ -421,7 +438,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "loadgen: sent=%llu ok=%llu anytime=%llu cached=%llu overloaded=%llu "
-      "invalid=%llu cancelled=%llu degraded=%llu other=%llu no_response=%llu "
+      "invalid=%llu cancelled=%llu degraded=%llu infeasible=%llu "
+      "deadline=%llu budget=%llu error=%llu no_response=%llu "
       "connect_fail=%llu\n",
       static_cast<unsigned long long>(total.sent),
       static_cast<unsigned long long>(total.ok),
@@ -431,7 +449,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(total.invalid),
       static_cast<unsigned long long>(total.cancelled),
       static_cast<unsigned long long>(total.degraded),
-      static_cast<unsigned long long>(total.other),
+      static_cast<unsigned long long>(total.infeasible),
+      static_cast<unsigned long long>(total.deadline),
+      static_cast<unsigned long long>(total.budget),
+      static_cast<unsigned long long>(total.error),
       static_cast<unsigned long long>(total.noResponse),
       static_cast<unsigned long long>(total.connectFail));
 
