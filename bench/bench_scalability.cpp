@@ -109,6 +109,37 @@ void BM_TimingScheduler(benchmark::State& state) {
 BENCHMARK(BM_TimingScheduler)->Range(16, 512)->Complexity()
     ->Unit(benchmark::kMicrosecond);
 
+// Timing searches that backtrack about 100k times, nearly every candidate
+// an infeasible serialization the engine must reject: {48 tasks, 2
+// resources, seed 59} finds an order after 98,820 backtracks, {32, 3, 8}
+// exhausts the 100k budget. lp_runs and backtracks pin both searches.
+void BM_TimingSearchBacktrackHeavy(benchmark::State& state) {
+  GeneratorConfig cfg;
+  cfg.numTasks = static_cast<std::size_t>(state.range(0));
+  cfg.numResources = static_cast<std::size_t>(state.range(1));
+  cfg.seed = static_cast<std::uint32_t>(state.range(2));
+  const GeneratedProblem gp = generateRandomProblem(cfg);
+  std::uint64_t lpRuns = 0;
+  std::uint64_t backtracks = 0;
+  for (auto _ : state) {
+    ConstraintGraph g = gp.problem.buildGraph();
+    LongestPathEngine engine(g);
+    TimingScheduler ts(gp.problem);
+    SchedulerStats stats;
+    benchmark::DoNotOptimize(ts.run(g, engine, stats));
+    lpRuns += stats.longestPathRuns;
+    backtracks += stats.backtracks;
+  }
+  state.counters["lp_runs"] = benchmark::Counter(
+      static_cast<double>(lpRuns), benchmark::Counter::kAvgIterations);
+  state.counters["backtracks"] = benchmark::Counter(
+      static_cast<double>(backtracks), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_TimingSearchBacktrackHeavy)
+    ->Args({48, 2, 59})
+    ->Args({32, 3, 8})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_FullPipeline(benchmark::State& state) {
   const GeneratedProblem gp = generateRandomProblem(
       configFor(static_cast<std::size_t>(state.range(0)), 7));

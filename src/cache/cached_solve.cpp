@@ -42,62 +42,56 @@ bool lexBetter(const Schedule& a, const Schedule& b) {
   return ca < cb || (ca == cb && a.finish() < b.finish());
 }
 
-/// Rebinds a cached schedule onto `problem` (by task name) and checks it
-/// with the independent validator. Any failure — including the
-/// astronomically unlikely 64-bit hash collision — reads as "nothing
-/// usable", never as a wrong answer.
+/// Rebinds a cached schedule onto `problem`, whose canonical form is
+/// `canonical`, and checks it with the independent validator. Any failure
+/// — including the astronomically unlikely 64-bit hash collision — reads
+/// as "nothing usable", never as a wrong answer.
 std::optional<Schedule> rebind(const CacheEntry& entry,
-                               const Problem& problem) {
-  // Fast path: entries produced in this process carry the assignment
-  // pre-split as (name, ticks) pairs — bind by name lookup, no text
-  // parse. Any mismatch (task count, unknown name, duplicate) falls
-  // through to the text parse, which applies its own full checks.
-  if (entry.startsByName.size() == problem.numTasks()) {
-    std::vector<Time> starts(problem.numVertices(), Time::zero());
-    std::vector<bool> seen(problem.numVertices(), false);
-    bool ok = true;
-    for (const auto& [name, ticks] : entry.startsByName) {
-      const std::optional<TaskId> id = problem.findTask(name);
-      if (!id.has_value() || seen[id->index()]) {
-        ok = false;
-        break;
-      }
-      seen[id->index()] = true;
-      starts[id->index()] = Time(ticks);
-    }
-    if (ok) {
-      Schedule schedule(&problem, std::move(starts));
-      if (ScheduleValidator(problem).validate(schedule).valid()) {
-        return schedule;
-      }
+                               const Problem& problem,
+                               const CanonicalForm& canonical) {
+  std::optional<Schedule> schedule;
+  if (!entry.starts.empty()) {
+    // Fast path: entries produced in this process carry the assignment in
+    // canonical task order, and an equal key means an equal canonical
+    // text, so index i names the same task here. A length mismatch only
+    // a corrupt entry can produce reads as a miss.
+    if (entry.starts.size() != canonical.taskOrder.size()) {
       return std::nullopt;
     }
+    std::vector<Time> starts(problem.numVertices(), Time::zero());
+    for (std::size_t i = 0; i < entry.starts.size(); ++i) {
+      starts[canonical.taskOrder[i].index()] = Time(entry.starts[i]);
+    }
+    schedule.emplace(&problem, std::move(starts));
+  } else {
+    // Loaded from disk: bind by task name through the text.
+    io::ScheduleParseResult parsed =
+        io::parseSchedule(entry.scheduleText, problem);
+    if (!parsed.ok()) return std::nullopt;
+    schedule = std::move(parsed.schedule);
   }
-  io::ScheduleParseResult parsed =
-      io::parseSchedule(entry.scheduleText, problem);
-  if (!parsed.ok()) return std::nullopt;
-  if (!ScheduleValidator(problem).validate(*parsed.schedule).valid()) {
+  if (!ScheduleValidator(problem).validate(*schedule).valid()) {
     return std::nullopt;
   }
-  return std::move(parsed.schedule);
+  return schedule;
 }
 
 void insertClean(ScheduleCache& cache, const CacheKey& key,
-                 std::uint64_t structuralHash, const Problem& problem,
-                 const std::string& label, const ScheduleResult& r,
-                 std::uint64_t nodesExplored, bool provenOptimal) {
+                 const CanonicalForm& canonical, const std::string& label,
+                 const ScheduleResult& r, std::uint64_t nodesExplored,
+                 bool provenOptimal) {
+  const Problem& problem = r.schedule->problem();
   CacheEntry entry;
   entry.scheduleText = io::scheduleToText(*r.schedule, label);
-  entry.startsByName.reserve(problem.numTasks());
-  for (TaskId v : problem.taskIds()) {
-    entry.startsByName.emplace_back(problem.task(v).name,
-                                    r.schedule->start(v).ticks());
+  entry.starts.reserve(canonical.taskOrder.size());
+  for (TaskId v : canonical.taskOrder) {
+    entry.starts.push_back(r.schedule->start(v).ticks());
   }
   entry.costMwt =
       r.schedule->energyCost(problem.minPower()).milliwattTicks();
   entry.finish = r.schedule->finish();
   entry.provenOptimal = provenOptimal;
-  entry.structuralHash = structuralHash;
+  entry.structuralHash = canonical.structuralHash;
   entry.stats = r.stats;
   entry.nodesExplored = nodesExplored;
   cache.insert(key, std::move(entry));
@@ -159,7 +153,7 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
 
   // Rung 1: exact hit.
   if (std::optional<ScheduleResult> served =
-          tryServeExact(*cache, problem, spec, &info)) {
+          tryServeExact(*cache, problem, canonical, spec, &info)) {
     if (infoOut != nullptr) *infoOut = info;
     return std::move(*served);
   }
@@ -207,9 +201,8 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
           cache->noteRevalidation();
           info.revalidated = true;
           served.message = "revalidated from schedule cache (near miss)";
-          insertClean(*cache, key, canonical.structuralHash, problem,
-                      spec.scheduler, served, /*nodesExplored=*/0,
-                      /*provenOptimal=*/false);
+          insertClean(*cache, key, canonical, spec.scheduler, served,
+                      /*nodesExplored=*/0, /*provenOptimal=*/false);
           if (infoOut != nullptr) *infoOut = info;
           return served;
         }
@@ -230,7 +223,7 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
     std::optional<Schedule> heuristic;
     ScheduleResult pipelineResult;
     if (std::optional<CacheEntry> entry = cache->peek(pipelineKey)) {
-      heuristic = rebind(*entry, problem);
+      heuristic = rebind(*entry, problem, canonical);
     }
     if (!heuristic.has_value()) {
       // The seeding run is an internal detail of this request: it may
@@ -249,8 +242,8 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
               .validate(*pipelineResult.schedule)
               .valid()) {
         heuristic = *pipelineResult.schedule;
-        insertClean(*cache, pipelineKey, canonical.structuralHash, problem,
-                    "pipeline", pipelineResult, /*nodesExplored=*/0,
+        insertClean(*cache, pipelineKey, canonical, "pipeline",
+                    pipelineResult, /*nodesExplored=*/0,
                     /*provenOptimal=*/false);
       }
     }
@@ -290,8 +283,8 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
   const bool clean = r.ok() && info.stopReason == guard::StopReason::kNone &&
                      (spec.scheduler != "optimal" || info.provenOptimal);
   if (clean) {
-    insertClean(*cache, key, canonical.structuralHash, problem,
-                spec.scheduler, r, info.nodesExplored, info.provenOptimal);
+    insertClean(*cache, key, canonical, spec.scheduler, r,
+                info.nodesExplored, info.provenOptimal);
   }
   if (infoOut != nullptr) *infoOut = info;
   return r;
@@ -299,14 +292,14 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
 
 std::optional<ScheduleResult> tryServeExact(ScheduleCache& cache,
                                             const Problem& problem,
+                                            const CanonicalForm& canonical,
                                             const SolveSpec& spec,
                                             SolveInfo* infoOut) {
-  const CanonicalForm canonical =
-      canonicalize(problem, CanonicalParts::kKeyOnly);
   const CacheKey key{canonical.hash,
                      optionsFingerprint(spec.scheduler, spec.trials)};
   if (std::optional<CacheEntry> entry = cache.lookup(key)) {
-    if (std::optional<Schedule> schedule = rebind(*entry, problem)) {
+    if (std::optional<Schedule> schedule =
+            rebind(*entry, problem, canonical)) {
       if (infoOut != nullptr) {
         infoOut->cacheHit = true;
         infoOut->provenOptimal = entry->provenOptimal;

@@ -3,9 +3,10 @@
 // One function wraps the pawsc scheduler dispatch (pipeline / serial /
 // list / optimal) with the full reuse ladder, cheapest rung first:
 //
-//   1. exact hit  — canonical key present: rebind the cached schedule by
-//      task name, re-validate it against the querying problem (a 64-bit
-//      hash collision must cost a miss, never a wrong answer) and serve.
+//   1. exact hit  — canonical key present: rebind the cached schedule in
+//      canonical task order (by task name for entries loaded from disk),
+//      re-validate it against the querying problem (a 64-bit hash
+//      collision must cost a miss, never a wrong answer) and serve.
 //      Byte-identical to the solve that produced the entry, microseconds.
 //   2. near-miss  — pipeline only: an entry with the same structural
 //      skeleton but different limits / task costs. Rebind and validate
@@ -34,6 +35,7 @@
 #include <cstdint>
 #include <string>
 
+#include "cache/canonical.hpp"
 #include "cache/schedule_cache.hpp"
 #include "guard/budget.hpp"
 #include "model/problem.hpp"
@@ -84,9 +86,12 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
 /// solving. This is pawsd's cache-only overload rung — under shedding the
 /// daemon still answers repeated traffic in microseconds while refusing
 /// anything that would cost a solve. Identical serve semantics to the
-/// exact-hit rung of solveThroughCache (rebind by name + revalidate).
+/// exact-hit rung of solveThroughCache (rebind in canonical task order, or
+/// by name for entries loaded from disk, then revalidate). `canonical` is
+/// `problem`'s form; CanonicalParts::kKeyOnly is enough.
 std::optional<ScheduleResult> tryServeExact(ScheduleCache& cache,
                                             const Problem& problem,
+                                            const CanonicalForm& canonical,
                                             const SolveSpec& spec,
                                             SolveInfo* infoOut = nullptr);
 

@@ -196,6 +196,7 @@ CanonicalForm canonicalize(const Problem& problem, CanonicalParts parts) {
   form.text = std::move(full);
   form.hash = fnv1a64(form.text);
   if (wantStructural) form.structuralHash = fnv1a64(structural);
+  form.taskOrder = std::move(tasks);
   return form;
 }
 

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "model/problem.hpp"
 
@@ -41,6 +42,11 @@ struct CanonicalForm {
   /// Limits/delay/power-blind variant for near-miss candidate lookup.
   /// 0 when the form was computed with CanonicalParts::kKeyOnly.
   std::uint64_t structuralHash = 0;
+  /// The problem's task ids in the order `text` renders them (computed in
+  /// both parts). Equal `hash` means equal `text`, so index i names the
+  /// same task in every problem with this form, whatever its declaration
+  /// order — the cache stores and rebinds start times by this index.
+  std::vector<TaskId> taskOrder;
 };
 
 /// How much of the canonical form to compute. The exact-hit path only

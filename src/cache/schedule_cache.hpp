@@ -7,8 +7,10 @@
 // fingerprint)` from cache/canonical.hpp; values carry the schedule as
 // `.paws` schedule text — rebindable by task *name* against any Problem
 // instance with the same canonical form, whatever its declaration order —
-// plus the solve's cost/finish/provenOptimal verdict and a small effort
-// snapshot so cache hits reprint the same numbers the original solve did.
+// and, for entries made in this process, as start ticks in canonical task
+// order (the exact-hit fast path) — plus the solve's cost/finish/
+// provenOptimal verdict and a small effort snapshot so cache hits reprint
+// the same numbers the original solve did.
 //
 // Concurrency: the map is split into shards, each guarded by its own
 // mutex around an intrusive LRU list — `pawsc` batch workers on the
@@ -58,13 +60,14 @@ struct CacheKeyHash {
 
 struct CacheEntry {
   /// io::scheduleToText() output; rebinds by task name via parseSchedule.
+  /// The durable form: save()/load() and the near-miss path read it.
   std::string scheduleText;
-  /// Pre-split (task name, start ticks) pairs — the same assignment as
-  /// `scheduleText`, kept so an in-process exact hit can rebind by name
-  /// lookup instead of re-parsing the text. In-memory only: save() does
-  /// not persist it (the text is the durable form), so entries loaded
-  /// from disk carry an empty vector and fall back to parseSchedule.
-  std::vector<std::pair<std::string, std::int64_t>> startsByName;
+  /// The same assignment as `scheduleText`, as start ticks in the
+  /// producing problem's CanonicalForm::taskOrder — an in-process exact
+  /// hit binds index i to the querying form's taskOrder[i] instead of
+  /// re-parsing the text. In-memory only: entries loaded from disk carry
+  /// an empty vector and fall back to parseSchedule.
+  std::vector<std::int64_t> starts;
   /// Schedule::energyCost(pmin) of the cached solve, in milliwatt-ticks.
   std::int64_t costMwt = 0;
   Time finish = Time::zero();

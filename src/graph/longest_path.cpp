@@ -11,8 +11,9 @@ namespace paws {
 
 namespace {
 constexpr EdgeId kNoParent = static_cast<EdgeId>(-1);
-// First parent-cycle probe after this many improvements of one vertex;
-// later probes escalate geometrically (see nextCheck_).
+// First parent-cycle probe after this many improvements of one vertex
+// (one, for the tail of an edge an incremental run adds); later probes
+// escalate geometrically (see nextCheck_).
 constexpr std::uint32_t kFirstCycleCheck = 8;
 }
 
@@ -177,10 +178,18 @@ const LongestPathResult& LongestPathEngine::runImpl(TaskId source,
     return TaskId::invalid();
   };
 
-  // Seed: in incremental mode, relax exactly the new edges once.
+  // Seed: in incremental mode, relax exactly the new edges once. The run
+  // starts from a feasible solution, so every positive cycle passes
+  // through a new edge and returns to its tail: arm the parent-chain probe
+  // on each tail's first improvement. When all new edges share one tail
+  // (the timing search's serializations), that improvement happens iff
+  // the graph is infeasible, and the probe finds the cycle on its first
+  // lap instead of after kFirstCycleCheck laps.
   if (incremental) {
     for (std::size_t i = firstNewEdge; i < graph_.numEdges(); ++i) {
-      const TaskId improved = relax(static_cast<EdgeId>(i));
+      const EdgeId eid = static_cast<EdgeId>(i);
+      nextCheck_[graph_.edge(eid).from.index()] = 1;
+      const TaskId improved = relax(eid);
       if (improved.isValid() && !inQueue_[improved.index()]) {
         inQueue_[improved.index()] = 1;
         queue_.push_back(improved);

@@ -130,9 +130,12 @@ class LongestPathEngine {
   // improvements, walk its parent chain (stamped with walkEpoch_) looking
   // for a cycle. A cycle in the parent graph is always a strictly positive
   // cycle — every parent edge was a strict improvement when assigned, and
-  // distances only grow, so a zero-weight cycle cannot close. Checks
-  // escalate geometrically per vertex; the blind n-step walk at the
-  // classic (n+1)-improvement bound remains the guaranteed fallback.
+  // distances only grow, so a zero-weight cycle cannot close. An
+  // incremental run arms the tails of its new edges at one improvement
+  // (any positive cycle must return to one of them); every other vertex
+  // starts at kFirstCycleCheck. Checks escalate geometrically per vertex;
+  // the blind n-step walk at the classic (n+1)-improvement bound remains
+  // the guaranteed fallback.
   std::vector<std::uint32_t> nextCheck_;
   std::vector<std::uint32_t> walkStamp_;
   std::uint32_t walkEpoch_ = 0;

@@ -35,11 +35,13 @@ struct BenchCompareOptions {
   /// function of the request sequence.
   /// delivered_steps / survival_permille / mode_escalations come from
   /// fault campaigns, which are byte-exact for any worker count.
+  /// backtracks counts a timing search's rejected candidates, a pure
+  /// function of the instance.
   std::vector<std::string> exactCounters = {
       "schedule_bytes", "lp_runs",         "nodes_explored",
       "pruned_dominance", "pruned_symmetry", "pruned_bound",
       "cache_hits",       "cache_misses",    "delivered_steps",
-      "survival_permille", "mode_escalations"};
+      "survival_permille", "mode_escalations", "backtracks"};
 };
 
 struct BenchComparison {

@@ -392,8 +392,10 @@ bool Daemon::handleRequest(Connection& conn, const std::string& payload) {
     // Shedding rung 2: repeated traffic still gets its microsecond
     // answer; anything needing a solve is refused.
     cache::SolveInfo info;
-    std::optional<ScheduleResult> served =
-        cache::tryServeExact(cache_, *problem.problem, spec, &info);
+    std::optional<ScheduleResult> served = cache::tryServeExact(
+        cache_, *problem.problem,
+        cache::canonicalize(*problem.problem, cache::CanonicalParts::kKeyOnly),
+        spec, &info);
     if (!served.has_value()) {
       return refuse("overloaded", "cache_only", "serve.shed");
     }

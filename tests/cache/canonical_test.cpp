@@ -135,6 +135,23 @@ TEST(CanonicalTest, KeyOnlyMatchesFullKeyHalf) {
   EXPECT_EQ(keyOnly.structuralHash, 0u);
 }
 
+TEST(CanonicalTest, TaskOrderNamesTheSameTaskInEverySpelling) {
+  // The cache binds cached starts by canonical index, so index i must
+  // name the same task whatever the declaration order, in both parts.
+  const Problem a = spellingA();
+  const Problem b = spellingB();
+  const CanonicalForm fa = canonicalize(a, CanonicalParts::kKeyOnly);
+  const CanonicalForm fb = canonicalize(b, CanonicalParts::kFull);
+  ASSERT_EQ(fa.taskOrder.size(), a.numTasks());
+  ASSERT_EQ(fb.taskOrder.size(), b.numTasks());
+  bool idsDiffer = false;
+  for (std::size_t i = 0; i < fa.taskOrder.size(); ++i) {
+    EXPECT_EQ(a.task(fa.taskOrder[i]).name, b.task(fb.taskOrder[i]).name);
+    idsDiffer = idsDiffer || fa.taskOrder[i] != fb.taskOrder[i];
+  }
+  EXPECT_TRUE(idsDiffer) << "the spellings must declare tasks differently";
+}
+
 TEST(CanonicalTest, OptionsFingerprintSeparatesSchedulers) {
   EXPECT_NE(optionsFingerprint("pipeline", 4), optionsFingerprint("optimal", 4));
   EXPECT_NE(optionsFingerprint("pipeline", 4),

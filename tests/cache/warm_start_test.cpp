@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <map>
 #include <optional>
 #include <string>
 
@@ -27,6 +30,7 @@
 #include "sched/polish.hpp"
 #include "sched/power_aware_scheduler.hpp"
 #include "sched/serial_scheduler.hpp"
+#include "support/temp_path.hpp"
 #include "validate/validator.hpp"
 
 namespace paws::cache {
@@ -302,6 +306,136 @@ TEST(CachedSolveTest, NearMissRepairsWhenTheCachedPlanTurnedInvalid) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(info.revalidated);
   EXPECT_TRUE(ScheduleValidator(longer).validate(*r.schedule).valid());
+}
+
+/// `p` re-declared back to front: resources, tasks and constraints in
+/// reverse order. Same canonical form, different task ids.
+Problem declaredInReverse(const Problem& p) {
+  Problem q(p.name());
+  const std::vector<ResourceId> resourceIds = p.resourceIds();
+  std::vector<ResourceId> resources(resourceIds.size());
+  for (auto it = resourceIds.rbegin(); it != resourceIds.rend(); ++it) {
+    resources[it->index()] = q.addResource(p.resource(*it).name);
+  }
+  const std::vector<TaskId> taskIds = p.taskIds();
+  std::vector<TaskId> tasks(p.numVertices(), kAnchorTask);
+  for (auto it = taskIds.rbegin(); it != taskIds.rend(); ++it) {
+    const Task& t = p.task(*it);
+    tasks[it->index()] =
+        q.addTask(t.name, t.delay, t.power, resources[t.resource.index()]);
+    q.setCriticality(tasks[it->index()], t.criticality);
+  }
+  for (auto it = p.constraints().rbegin(); it != p.constraints().rend();
+       ++it) {
+    const TaskId from = tasks[it->from.index()];
+    const TaskId to = tasks[it->to.index()];
+    if (it->kind == TimingConstraint::Kind::kMinSeparation) {
+      q.minSeparation(from, to, it->separation);
+    } else {
+      q.maxSeparation(from, to, it->separation);
+    }
+  }
+  q.setMaxPower(p.maxPower());
+  q.setMinPower(p.minPower());
+  q.setBackgroundPower(p.backgroundPower());
+  return q;
+}
+
+/// Start of every task by name — comparable across declaration orders.
+std::map<std::string, std::int64_t> startsByName(const Schedule& s) {
+  std::map<std::string, std::int64_t> out;
+  for (TaskId v : s.problem().taskIds()) {
+    out[s.problem().task(v).name] = s.start(v).ticks();
+  }
+  return out;
+}
+
+TEST(CachedSolveTest, PermutedDeclarationHitsThroughCanonicalOrder) {
+  ScheduleCache cache;
+  const GeneratedProblem gp = generateRandomProblem(smallConfig(13));
+  const Problem permuted = declaredInReverse(gp.problem);
+  const CanonicalForm form = canonicalize(gp.problem);
+  ASSERT_EQ(canonicalize(permuted).hash, form.hash);
+  ASSERT_NE(permuted.task(TaskId(1)).name, gp.problem.task(TaskId(1)).name);
+
+  SolveSpec spec;  // pipeline
+  const ScheduleResult a = solveThroughCache(&cache, gp.problem, spec);
+  ASSERT_TRUE(a.ok());
+  // Break the entry's text: a hit can now only bind through the starts
+  // kept in canonical task order.
+  const CacheKey key{form.hash, optionsFingerprint("pipeline", spec.trials)};
+  std::optional<CacheEntry> entry = cache.peek(key);
+  ASSERT_TRUE(entry.has_value());
+  ASSERT_EQ(entry->starts.size(), gp.problem.numTasks());
+  entry->scheduleText = "not a schedule";
+  cache.insert(key, *entry);
+
+  SolveInfo info;
+  const ScheduleResult b = solveThroughCache(&cache, permuted, spec, &info);
+  ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(info.cacheHit);
+  EXPECT_EQ(startsByName(*b.schedule), startsByName(*a.schedule));
+  EXPECT_TRUE(ScheduleValidator(permuted).validate(*b.schedule).valid());
+}
+
+TEST(CachedSolveTest, EntryLoadedFromDiskBindsThroughItsText) {
+  const GeneratedProblem gp = generateRandomProblem(smallConfig(13));
+  const Problem permuted = declaredInReverse(gp.problem);
+  const std::string path = testutil::uniqueTempPath(".json").string();
+  SolveSpec spec;  // pipeline
+  ScheduleResult a;
+  {
+    ScheduleCache cache;
+    a = solveThroughCache(&cache, gp.problem, spec);
+    ASSERT_TRUE(a.ok());
+    std::string error;
+    ASSERT_TRUE(cache.save(path, &error)) << error;
+  }
+  ScheduleCache cache;
+  std::string error;
+  ASSERT_TRUE(cache.load(path, &error)) << error;
+  std::remove(path.c_str());
+  const CacheKey key{canonicalize(gp.problem).hash,
+                     optionsFingerprint("pipeline", spec.trials)};
+  const std::optional<CacheEntry> entry = cache.peek(key);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_TRUE(entry->starts.empty()) << "starts are in-memory only";
+
+  SolveInfo info;
+  const ScheduleResult b = solveThroughCache(&cache, permuted, spec, &info);
+  ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(info.cacheHit);
+  EXPECT_EQ(startsByName(*b.schedule), startsByName(*a.schedule));
+}
+
+TEST(CachedSolveTest, TamperedStartsReadAsAMissNotAWrongAnswer) {
+  const GeneratedProblem gp = generateRandomProblem(smallConfig(13));
+  const CanonicalForm form = canonicalize(gp.problem);
+  SolveSpec spec;  // pipeline
+  const CacheKey key{form.hash, optionsFingerprint("pipeline", spec.trials)};
+  const ScheduleResult cold = solveThroughCache(nullptr, gp.problem, spec);
+  ASSERT_TRUE(cold.ok());
+
+  // Wrong length (the text is still intact), then the right length with
+  // every task at 0 — overlapping on a shared resource, so invalid.
+  for (const bool wrongLength : {true, false}) {
+    ScheduleCache cache;
+    ASSERT_TRUE(solveThroughCache(&cache, gp.problem, spec).ok());
+    std::optional<CacheEntry> entry = cache.peek(key);
+    ASSERT_TRUE(entry.has_value());
+    if (wrongLength) {
+      entry->starts.pop_back();
+    } else {
+      std::fill(entry->starts.begin(), entry->starts.end(), 0);
+    }
+    cache.insert(key, *entry);
+    SolveInfo info;
+    const ScheduleResult r = solveThroughCache(&cache, gp.problem, spec, &info);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(info.cacheHit) << "wrong length: " << wrongLength;
+    EXPECT_EQ(io::scheduleToText(*r.schedule, "x"),
+              io::scheduleToText(*cold.schedule, "x"));
+  }
 }
 
 TEST(CachedSolveTest, HashCollisionServesAMissNotAWrongAnswer) {

@@ -1,12 +1,15 @@
 // Cross-checks LongestPathEngine against a naive textbook Bellman-Ford on
 // randomized graphs (including negative edges and infeasible instances),
 // and its incremental mode against from-scratch recomputation under random
-// add/rollback workloads — the exact access pattern the schedulers produce.
+// add/rollback workloads — the exact access pattern the schedulers produce,
+// including their batch shapes under checkpoint/restore/release.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "graph/longest_path.hpp"
+#include "obs/metrics.hpp"
 
 namespace paws {
 namespace {
@@ -118,6 +121,128 @@ TEST_P(LongestPathOracle, IncrementalTracksAddRollbackWorkload) {
       }
     }
   }
+}
+
+/// True when `edges` form one closed walk of positive total weight that
+/// leaves `tail` at least once.
+bool isPositiveCycleThrough(const ConstraintGraph& g,
+                            const std::vector<EdgeId>& edges, TaskId tail) {
+  if (edges.empty()) return false;
+  Duration total;
+  bool throughTail = false;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const ConstraintEdge& e = g.edge(edges[i]);
+    if (e.to != g.edge(edges[(i + 1) % edges.size()]).from) return false;
+    total += e.weight;
+    throughTail = throughTail || e.from == tail;
+  }
+  return total > Duration::zero() && throughTail;
+}
+
+// The two batch shapes the schedulers add between checkpoint() and
+// restore()/release(): the timing search serializes one candidate c before
+// several tasks (c -> u, weight d(c): every new edge shares its tail), and
+// max-power adds delay/lock pairs (anchor -> v, v -> anchor: mixed tails).
+// Every compute must agree with the naive Bellman-Ford, and every
+// single-tail infeasible verdict must carry a positive witness through c.
+TEST_P(LongestPathOracle, BatchShapesUnderCheckpointRestoreRelease) {
+  std::mt19937 rng(GetParam() * 104729 + 5);
+  const std::size_t n = 4 + rng() % 12;
+  ConstraintGraph g(n);
+  std::vector<Duration> delay(n);
+  for (std::size_t i = 1; i < n; ++i) {
+    g.addEdge(TaskId(0), TaskId(static_cast<std::uint32_t>(i)), Duration(0),
+              EdgeKind::kRelease);
+    delay[i] = Duration(1 + static_cast<std::int64_t>(rng() % 6));
+  }
+  // Feasible base with max-separation style back edges.
+  for (std::size_t k = 0; k < 2 * n; ++k) {
+    const TaskId u(static_cast<std::uint32_t>(1 + rng() % (n - 1)));
+    const TaskId v(static_cast<std::uint32_t>(1 + rng() % (n - 1)));
+    if (u == v) continue;
+    const ConstraintGraph::Checkpoint cp = g.checkpoint();
+    g.addEdge(u, v, Duration(static_cast<std::int64_t>(rng() % 17) - 8),
+              EdgeKind::kUserMin);
+    if (!naiveLongestPath(g, TaskId(0)).feasible) g.rollbackTo(cp);
+  }
+
+  obs::MetricsRegistry metrics;
+  LongestPathEngine engine(g);
+  engine.setObs(obs::ObsContext{nullptr, &metrics, nullptr});
+  ASSERT_TRUE(engine.compute(TaskId(0)).feasible);
+
+  struct Open {
+    ConstraintGraph::Checkpoint graph;
+    LongestPathEngine::Checkpoint engine;
+  };
+  std::vector<Open> open;
+  int singleTailInfeasible = 0;
+  int mixedTailInfeasible = 0;
+  for (int step = 0; step < 120; ++step) {
+    const std::string where =
+        "seed " + std::to_string(GetParam()) + " step " + std::to_string(step);
+    const int action = static_cast<int>(rng() % 4);
+    if (action <= 1 || open.empty()) {
+      open.push_back({g.checkpoint(), engine.checkpoint()});
+      TaskId tail = TaskId::invalid();
+      if (action == 0) {
+        tail = TaskId(static_cast<std::uint32_t>(1 + rng() % (n - 1)));
+        const std::size_t fanOut = 1 + rng() % 4;
+        for (std::size_t k = 0; k < fanOut; ++k) {
+          const TaskId u(static_cast<std::uint32_t>(1 + rng() % (n - 1)));
+          if (u != tail) {
+            g.addEdge(tail, u, delay[tail.index()], EdgeKind::kSerialization);
+          }
+        }
+      } else {
+        const std::size_t pairs = 1 + rng() % 2;
+        for (std::size_t k = 0; k < pairs; ++k) {
+          const TaskId v(static_cast<std::uint32_t>(1 + rng() % (n - 1)));
+          const std::int64_t at = static_cast<std::int64_t>(rng() % 30);
+          const std::int64_t slack = static_cast<std::int64_t>(rng() % 10) - 1;
+          g.addEdge(TaskId(0), v, Duration(at), EdgeKind::kDelay);
+          g.addEdge(v, TaskId(0), Duration(-(at + slack)), EdgeKind::kLock);
+        }
+      }
+      const LongestPathResult& fast = engine.compute(TaskId(0));
+      const NaiveResult slow = naiveLongestPath(g, TaskId(0));
+      ASSERT_EQ(fast.feasible, slow.feasible) << where;
+      if (fast.feasible) {
+        ASSERT_EQ(fast.dist, slow.dist) << where;
+        continue;
+      }
+      if (tail.isValid()) {
+        ++singleTailInfeasible;
+        EXPECT_TRUE(isPositiveCycleThrough(g, fast.cycleEdges, tail))
+            << where;
+      } else {
+        ++mixedTailInfeasible;
+      }
+      // Back out of the infeasible batch the way the schedulers do.
+      g.rollbackTo(open.back().graph);
+      engine.restore(open.back().engine);
+      open.pop_back();
+    } else if (action == 2) {
+      g.rollbackTo(open.back().graph);
+      engine.restore(open.back().engine);
+      open.pop_back();
+    } else {
+      engine.release(open.back().engine);
+      open.pop_back();
+    }
+    const LongestPathResult& fast = engine.compute(TaskId(0));
+    const NaiveResult slow = naiveLongestPath(g, TaskId(0));
+    ASSERT_TRUE(fast.feasible) << where;
+    ASSERT_TRUE(slow.feasible) << where;
+    ASSERT_EQ(fast.dist, slow.dist) << where;
+  }
+  // Every restore revived its solution: an early-stopped infeasible run
+  // leaves nothing the overwrite log cannot undo.
+  EXPECT_EQ(metrics.counter("longest_path.restore_fallbacks"), 0u);
+  EXPECT_EQ(metrics.counter("longest_path.full_runs"), 1u);
+  EXPECT_EQ(metrics.counter("longest_path.infeasible_runs"),
+            static_cast<std::uint64_t>(singleTailInfeasible +
+                                       mixedTailInfeasible));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LongestPathOracle,

@@ -7,8 +7,8 @@
 //
 // Hard (always fatal): a suite/benchmark present in the baseline but
 // missing from the current run, or any mismatch on an exact counter
-// (default: schedule_bytes, lp_runs, nodes_explored and the pruned_*
-// search counters — determinism witnesses). Soft
+// (default: schedule_bytes, lp_runs, backtracks, nodes_explored and the
+// pruned_* search counters — determinism witnesses). Soft
 // (warn-only unless --fail-on-wall): per-iteration wall_ns slowdowns
 // beyond the tolerance (default 50%), since wall time is machine-bound.
 //
@@ -36,7 +36,8 @@ int usage() {
                "set\n"
                "                               (repeatable; default "
                "schedule_bytes, lp_runs,\n"
-               "                                nodes_explored, pruned_*)\n"
+               "                                backtracks, nodes_explored, "
+               "pruned_*)\n"
                "exit: 0 ok; 1 usage; 2 bad input; 3 regression\n");
   return 1;
 }

@@ -132,8 +132,8 @@ std::string makeProblemText(std::uint64_t seed, std::size_t maxTasks) {
   paws::GeneratorConfig config;
   // Keep seeds in 32 bits — GeneratorConfig::seed is a std::uint32_t.
   config.seed = static_cast<std::uint32_t>(rng.next() & 0xffffffffULL);
-  config.numTasks = 4 + static_cast<std::size_t>(
-                            rng.next() % (maxTasks > 4 ? maxTasks - 3 : 1));
+  config.numTasks = 3 + static_cast<std::size_t>(
+                            rng.next() % (maxTasks > 3 ? maxTasks - 2 : 1));
   config.numResources = 2 + static_cast<std::size_t>(rng.next() % 3);
   return paws::io::problemToText(
       paws::generateRandomProblem(config).problem);
