@@ -5,7 +5,6 @@
 
 #include "cache/canonical.hpp"
 #include "exec/jobs.hpp"
-#include "io/schedule_io.hpp"
 #include "sched/exhaustive_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/min_power_scheduler.hpp"
@@ -42,54 +41,42 @@ bool lexBetter(const Schedule& a, const Schedule& b) {
   return ca < cb || (ca == cb && a.finish() < b.finish());
 }
 
-/// Rebinds a cached schedule onto `problem`, whose canonical form is
-/// `canonical`, and checks it with the independent validator. Any failure
-/// — including the astronomically unlikely 64-bit hash collision — reads
-/// as "nothing usable", never as a wrong answer.
+/// Binds a cached entry's starts onto `problem`, whose canonical form is
+/// `canonical`: index i is the task canonical.taskOrder[i]. An entry found
+/// by exact or structural hash has the same task order, so a length
+/// mismatch only a corrupt entry can produce reads as nothing usable.
+std::optional<Schedule> bind(const CacheEntry& entry, const Problem& problem,
+                             const CanonicalForm& canonical) {
+  if (entry.starts.size() != canonical.taskOrder.size()) return std::nullopt;
+  std::vector<Time> starts(problem.numVertices(), Time::zero());
+  for (std::size_t i = 0; i < entry.starts.size(); ++i) {
+    starts[canonical.taskOrder[i].index()] = Time(entry.starts[i]);
+  }
+  return Schedule(&problem, std::move(starts));
+}
+
+/// bind() plus the independent validator: any failure — including the
+/// astronomically unlikely 64-bit hash collision — reads as "nothing
+/// usable", never as a wrong answer.
 std::optional<Schedule> rebind(const CacheEntry& entry,
                                const Problem& problem,
                                const CanonicalForm& canonical) {
-  std::optional<Schedule> schedule;
-  if (!entry.starts.empty()) {
-    // Fast path: entries produced in this process carry the assignment in
-    // canonical task order, and an equal key means an equal canonical
-    // text, so index i names the same task here. A length mismatch only
-    // a corrupt entry can produce reads as a miss.
-    if (entry.starts.size() != canonical.taskOrder.size()) {
-      return std::nullopt;
-    }
-    std::vector<Time> starts(problem.numVertices(), Time::zero());
-    for (std::size_t i = 0; i < entry.starts.size(); ++i) {
-      starts[canonical.taskOrder[i].index()] = Time(entry.starts[i]);
-    }
-    schedule.emplace(&problem, std::move(starts));
-  } else {
-    // Loaded from disk: bind by task name through the text.
-    io::ScheduleParseResult parsed =
-        io::parseSchedule(entry.scheduleText, problem);
-    if (!parsed.ok()) return std::nullopt;
-    schedule = std::move(parsed.schedule);
-  }
-  if (!ScheduleValidator(problem).validate(*schedule).valid()) {
+  std::optional<Schedule> schedule = bind(entry, problem, canonical);
+  if (schedule.has_value() &&
+      !ScheduleValidator(problem).validate(*schedule).valid()) {
     return std::nullopt;
   }
   return schedule;
 }
 
 void insertClean(ScheduleCache& cache, const CacheKey& key,
-                 const CanonicalForm& canonical, const std::string& label,
-                 const ScheduleResult& r, std::uint64_t nodesExplored,
-                 bool provenOptimal) {
-  const Problem& problem = r.schedule->problem();
+                 const CanonicalForm& canonical, const ScheduleResult& r,
+                 std::uint64_t nodesExplored, bool provenOptimal) {
   CacheEntry entry;
-  entry.scheduleText = io::scheduleToText(*r.schedule, label);
   entry.starts.reserve(canonical.taskOrder.size());
   for (TaskId v : canonical.taskOrder) {
     entry.starts.push_back(r.schedule->start(v).ticks());
   }
-  entry.costMwt =
-      r.schedule->energyCost(problem.minPower()).milliwattTicks();
-  entry.finish = r.schedule->finish();
   entry.provenOptimal = provenOptimal;
   entry.structuralHash = canonical.structuralHash;
   entry.stats = r.stats;
@@ -165,19 +152,18 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
   // Rung 2: near-miss revalidation — pipeline only. Serving a structurally
   // matching but numerically different entry is a heuristic answer, which
   // is exactly the pipeline's contract and exactly wrong for `optimal`.
-  if (spec.nearMiss && spec.scheduler == "pipeline") {
+  if (spec.scheduler == "pipeline") {
     if (std::optional<CacheEntry> candidate =
             cache->lookupStructural(canonical.structuralHash, key.optionsFp)) {
-      io::ScheduleParseResult parsed =
-          io::parseSchedule(candidate->scheduleText, problem);
-      if (parsed.ok()) {
+      if (std::optional<Schedule> cached =
+              bind(*candidate, problem, canonical)) {
         ScheduleResult served;
-        if (ScheduleValidator(problem).validate(*parsed.schedule).valid()) {
+        if (ScheduleValidator(problem).validate(*cached).valid()) {
           // Still valid under the new limits: keep the plan, polish the
           // soft objective under the (possibly changed) Pmin with a
           // warm-started min-power improvement pass.
           MinPowerOptions options;
-          options.initialStarts = parsed.schedule->starts();
+          options.initialStarts = cached->starts();
           options.obs = spec.obs;
           options.budget = spec.budget;
           served = MinPowerScheduler(problem, options).schedule();
@@ -188,7 +174,7 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
           // structure carry over.
           RepairInput input;
           input.updated = &problem;
-          input.current = &*parsed.schedule;
+          input.current = &*cached;
           input.now = Time::zero();
           PowerAwareOptions options;
           options.trials = spec.trials;
@@ -201,8 +187,8 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
           cache->noteRevalidation();
           info.revalidated = true;
           served.message = "revalidated from schedule cache (near miss)";
-          insertClean(*cache, key, canonical, spec.scheduler, served,
-                      /*nodesExplored=*/0, /*provenOptimal=*/false);
+          insertClean(*cache, key, canonical, served, /*nodesExplored=*/0,
+                      /*provenOptimal=*/false);
           if (infoOut != nullptr) *infoOut = info;
           return served;
         }
@@ -216,7 +202,7 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
   // is valid and fits the search horizon, so seeding keeps the result
   // byte-identical while pruning from node 0.
   std::optional<WarmSeed> seed;
-  if (spec.warmStart && spec.scheduler == "optimal") {
+  if (spec.scheduler == "optimal") {
     const Time horizon = defaultHorizon(problem);
     const CacheKey pipelineKey{canonical.hash,
                                optionsFingerprint("pipeline", spec.trials)};
@@ -242,9 +228,8 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
               .validate(*pipelineResult.schedule)
               .valid()) {
         heuristic = *pipelineResult.schedule;
-        insertClean(*cache, pipelineKey, canonical, "pipeline",
-                    pipelineResult, /*nodesExplored=*/0,
-                    /*provenOptimal=*/false);
+        insertClean(*cache, pipelineKey, canonical, pipelineResult,
+                    /*nodesExplored=*/0, /*provenOptimal=*/false);
       }
     }
     // The pipeline compacts, but the lex optimum often spreads tasks out
@@ -283,8 +268,8 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
   const bool clean = r.ok() && info.stopReason == guard::StopReason::kNone &&
                      (spec.scheduler != "optimal" || info.provenOptimal);
   if (clean) {
-    insertClean(*cache, key, canonical, spec.scheduler, r,
-                info.nodesExplored, info.provenOptimal);
+    insertClean(*cache, key, canonical, r, info.nodesExplored,
+                info.provenOptimal);
   }
   if (infoOut != nullptr) *infoOut = info;
   return r;

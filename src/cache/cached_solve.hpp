@@ -3,18 +3,20 @@
 // One function wraps the pawsc scheduler dispatch (pipeline / serial /
 // list / optimal) with the full reuse ladder, cheapest rung first:
 //
-//   1. exact hit  — canonical key present: rebind the cached schedule in
-//      canonical task order (by task name for entries loaded from disk),
+//   1. exact hit  — canonical key present: bind the cached start ticks in
+//      canonical task order (index i is the i-th task by name),
 //      re-validate it against the querying problem (a 64-bit hash
 //      collision must cost a miss, never a wrong answer) and serve.
 //      Byte-identical to the solve that produced the entry, microseconds.
 //   2. near-miss  — pipeline only: an entry with the same structural
-//      skeleton but different limits / task costs. Rebind and validate
-//      under the NEW problem; when still valid, polish with a MinPower
-//      improvement pass warm-started from it (gap filling under the new
-//      Pmin); when invalid, rebuild from it via repairSchedule. Either
-//      way the served schedule is validator-checked against the querying
-//      problem. Counted as cache.revalidations. Results are heuristic-
+//      skeleton but different limits / task costs. Equal structural text
+//      means equal task order, so the cached starts bind by the same
+//      canonical index; validate them under the NEW problem. When still
+//      valid, polish with a MinPower improvement pass warm-started from
+//      them (gap filling under the new Pmin); when invalid, rebuild from
+//      them via repairSchedule. Either way the served schedule is
+//      validator-checked against the querying problem. Counted as
+//      cache.revalidations. Results are heuristic-
 //      grade like the pipeline itself, but orders of magnitude cheaper
 //      than a cold solve on near-duplicate traffic.
 //   3. warm start — optimal only: a cold exhaustive solve is seeded with
@@ -52,10 +54,6 @@ struct SolveSpec {
   /// Worker threads for the exhaustive search (already resolved; 0 is
   /// passed through to exec::resolveJobs).
   std::size_t jobs = 1;
-  /// Seed cold exhaustive solves from the pipeline heuristic (rung 3).
-  bool warmStart = true;
-  /// Serve structural hits through revalidation/repair (rung 2).
-  bool nearMiss = true;
   obs::ObsContext obs;
   guard::RunBudget budget;
 };
@@ -86,8 +84,8 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
 /// solving. This is pawsd's cache-only overload rung — under shedding the
 /// daemon still answers repeated traffic in microseconds while refusing
 /// anything that would cost a solve. Identical serve semantics to the
-/// exact-hit rung of solveThroughCache (rebind in canonical task order, or
-/// by name for entries loaded from disk, then revalidate). `canonical` is
+/// exact-hit rung of solveThroughCache (bind in canonical task order, then
+/// revalidate). `canonical` is
 /// `problem`'s form; CanonicalParts::kKeyOnly is enough.
 std::optional<ScheduleResult> tryServeExact(ScheduleCache& cache,
                                             const Problem& problem,

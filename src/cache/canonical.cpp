@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "base/hash.hpp"
-#include "graph/longest_path.hpp"
 
 namespace paws::cache {
 
@@ -37,23 +36,11 @@ void appendMw(std::string& out, Watts w) {
 
 CanonicalForm canonicalize(const Problem& problem, CanonicalParts parts) {
   const bool wantStructural = parts == CanonicalParts::kFull;
-  // Task depth = longest-path distance from the anchor, a declaration-
-  // order-free property of the constraint system. On a positive cycle the
-  // distances are undefined; name order alone still canonicalizes.
-  const std::size_t n = problem.numVertices();
-  std::vector<Time> depth(n, Time::zero());
-  {
-    const ConstraintGraph graph = problem.buildGraph();
-    LongestPathEngine engine(graph);
-    const LongestPathResult& lp = engine.compute(kAnchorTask);
-    if (lp.feasible) depth = lp.dist;
-  }
-
+  // Task names are unique (Problem::addTask and the parser reject
+  // duplicates), so name order alone is a declaration-order-free total
+  // order.
   std::vector<TaskId> tasks = problem.taskIds();
   std::sort(tasks.begin(), tasks.end(), [&](TaskId a, TaskId b) {
-    if (depth[a.index()] != depth[b.index()]) {
-      return depth[a.index()] < depth[b.index()];
-    }
     return problem.task(a).name < problem.task(b).name;
   });
 
@@ -93,14 +80,15 @@ CanonicalForm canonicalize(const Problem& problem, CanonicalParts parts) {
   // structural skeleton (no limits, no per-task delay/power).
   std::string full;
   std::string structural;
-  full.reserve(64 + 64 * (n + resources.size() + constraints.size()));
+  full.reserve(64 + 64 * (tasks.size() + resources.size() +
+                          constraints.size()));
   if (wantStructural) structural.reserve(full.capacity());
-  full += "paws-canonical 1\n";
+  full += "paws-canonical 2\n";
   full += "problem ";
   full += problem.name();
   full += "\n";
   if (wantStructural) {
-    structural += "paws-structural 1\n";
+    structural += "paws-structural 2\n";
     structural += "problem ";
     structural += problem.name();
     structural += "\n";

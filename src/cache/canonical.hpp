@@ -6,23 +6,24 @@
 // left here is ordering: the canonical form renders the parsed `Problem`
 // (dense-id SoA) with
 //   * resources sorted by name;
-//   * tasks in topological-lexicographic order — ascending longest-path
-//     distance from the anchor (a property of the constraint system, not
-//     of declaration order), ties broken by name; when the constraint
-//     system is infeasible (positive cycle) the depth is undefined and
-//     the order degrades to name-only, which is still deterministic;
+//   * tasks sorted by name (names are unique within a problem, so this is
+//     a total order that no declaration order can change);
 //   * constraints sorted by (kind, from-name, to-name, separation).
 // Every semantic field — problem name, limits, per-task delay/power/
 // resource/criticality, constraint bounds — is rendered in exact integer
 // (milliwatt / tick) form, so any semantic edit changes the text and
-// therefore the FNV-1a-64 hash. The problem name participates because
-// cached schedules rebind through `io::parseSchedule`, which checks it.
+// therefore the FNV-1a-64 hash. The problem name participates too, so two
+// differently named problems never share an entry. The header line carries a
+// format version ("paws-canonical 2"), so a rendering change moves every
+// key instead of aliasing an old one.
 //
 // The *structural* hash is the same rendering with the power limits
 // (pmax/pmin/background) and each task's delay/power removed: problems
 // equal under it have the same task/resource/constraint skeleton and
 // differ only by a "small delta" (changed limits, one task's cost edit) —
-// the near-miss revalidation candidates (see cached_solve.cpp).
+// the near-miss revalidation candidates (see cached_solve.cpp). It renders
+// tasks in the same name order, so equal structural text means equal task
+// order: index i names the same task on both sides of a near miss.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +43,10 @@ struct CanonicalForm {
   /// Limits/delay/power-blind variant for near-miss candidate lookup.
   /// 0 when the form was computed with CanonicalParts::kKeyOnly.
   std::uint64_t structuralHash = 0;
-  /// The problem's task ids in the order `text` renders them (computed in
-  /// both parts). Equal `hash` means equal `text`, so index i names the
-  /// same task in every problem with this form, whatever its declaration
-  /// order — the cache stores and rebinds start times by this index.
+  /// The problem's task ids in name order, the order `text` renders them
+  /// (computed in both parts). Index i names the same task in every
+  /// problem with an equal `hash` or `structuralHash`, whatever its
+  /// declaration order — the cache stores and binds start times by it.
   std::vector<TaskId> taskOrder;
 };
 

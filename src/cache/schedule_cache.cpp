@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "io/parser.hpp"
 #include "obs/json.hpp"
 
 namespace paws::cache {
@@ -46,6 +47,23 @@ bool parseHex64(std::string_view s, std::uint64_t& out) {
 /// Defensive cap on persisted entries: a multi-gigabyte cache file should
 /// degrade to a partial load, not an allocation storm.
 constexpr std::size_t kMaxLoadEntries = 100000;
+
+/// Reads a persisted `starts` array. False unless it is an array of at
+/// most io::kMaxTasks integers in [0, io::kMaxAbsTicks] — the bounds the
+/// parser puts on any problem, so a tampered file cannot hand the
+/// validator start times no parsed problem could produce.
+bool parseStarts(const obs::json::Value& v, std::vector<std::int64_t>& out) {
+  if (!v.isArray() || v.items.size() > io::kMaxTasks) return false;
+  out.reserve(v.items.size());
+  for (const obs::json::Value& t : v.items) {
+    if (!t.isNumber() || !t.isInteger || t.integer < 0 ||
+        t.integer > io::kMaxAbsTicks) {
+      return false;
+    }
+    out.push_back(t.integer);
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -155,7 +173,7 @@ void ScheduleCache::exportMetrics(obs::MetricsRegistry& registry) const {
 
 bool ScheduleCache::save(const std::string& path, std::string* error) const {
   std::ostringstream os;
-  os << "{\n  \"schema\": 1,\n  \"entries\": [";
+  os << "{\n  \"schema\": 2,\n  \"entries\": [";
   bool first = true;
   // Oldest first per shard, so load()'s insert order recreates recency.
   for (std::size_t i = 0; i < numShards_; ++i) {
@@ -171,8 +189,6 @@ bool ScheduleCache::save(const std::string& path, std::string* error) const {
          << ", \"options_fp\": " << obs::json::escaped(hex64(key.optionsFp))
          << ", \"structural_hash\": "
          << obs::json::escaped(hex64(e.structuralHash))
-         << ", \"cost_mwt\": " << e.costMwt
-         << ", \"finish\": " << e.finish.ticks()
          << ", \"proven_optimal\": " << (e.provenOptimal ? "true" : "false")
          << ", \"lp_runs\": " << e.stats.longestPathRuns
          << ", \"backtracks\": " << e.stats.backtracks
@@ -181,8 +197,11 @@ bool ScheduleCache::save(const std::string& path, std::string* error) const {
          << ", \"recursions\": " << e.stats.recursions
          << ", \"scans\": " << e.stats.scans
          << ", \"improvements\": " << e.stats.improvements
-         << ", \"nodes\": " << e.nodesExplored
-         << ", \"schedule\": " << obs::json::escaped(e.scheduleText) << "}";
+         << ", \"nodes\": " << e.nodesExplored << ", \"starts\": [";
+      for (std::size_t t = 0; t < e.starts.size(); ++t) {
+        os << (t == 0 ? "" : ", ") << e.starts[t];
+      }
+      os << "]}";
     }
   }
   os << "\n  ]\n}\n";
@@ -222,9 +241,9 @@ bool ScheduleCache::load(const std::string& path, std::string* error) {
     return false;
   }
   const obs::json::Value* schema = parsed.value.find("schema");
-  if (schema == nullptr || schema->asInt() != 1) {
-    // Wrong *or newer* schema: refuse the whole file rather than guess at
-    // fields a future writer may have re-defined.
+  if (schema == nullptr || schema->asInt() != 2) {
+    // Any other schema, older or newer: refuse the whole file rather than
+    // guess at fields another writer defined.
     loadRejectedFiles_.fetch_add(1, std::memory_order_relaxed);
     if (error != nullptr) *error = "unknown cache schema in " + path;
     return false;
@@ -239,26 +258,24 @@ bool ScheduleCache::load(const std::string& path, std::string* error) {
     }
     const obs::json::Value* ph = v.isObject() ? v.find("problem_hash") : nullptr;
     const obs::json::Value* fp = v.isObject() ? v.find("options_fp") : nullptr;
-    const obs::json::Value* text = v.isObject() ? v.find("schedule") : nullptr;
+    const obs::json::Value* starts = v.isObject() ? v.find("starts") : nullptr;
     CacheKey key;
-    if (ph == nullptr || fp == nullptr || text == nullptr ||
-        !ph->isString() || !fp->isString() || !text->isString() ||
+    CacheEntry e;
+    if (ph == nullptr || fp == nullptr || starts == nullptr ||
+        !ph->isString() || !fp->isString() ||
         !parseHex64(ph->asString(), key.problemHash) ||
-        !parseHex64(fp->asString(), key.optionsFp)) {
+        !parseHex64(fp->asString(), key.optionsFp) ||
+        !parseStarts(*starts, e.starts)) {
       // Malformed entry: a structured skip, never a failed load.
       loadSkippedEntries_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    CacheEntry e;
-    e.scheduleText = text->asString();
     if (const auto* f = v.find("structural_hash")) {
       // Key fields gate the entry; a damaged structural hash only costs
       // the near-miss index, so degrade it to "absent" instead of
       // skipping an otherwise-servable entry.
       if (!parseHex64(f->asString(), e.structuralHash)) e.structuralHash = 0;
     }
-    if (const auto* f = v.find("cost_mwt")) e.costMwt = f->asInt();
-    if (const auto* f = v.find("finish")) e.finish = Time(f->asInt());
     if (const auto* f = v.find("proven_optimal")) {
       e.provenOptimal = f->asBool();
     }

@@ -4,13 +4,12 @@
 // same problem scheduled again — next CLI invocation, next mission
 // iteration, next batch file) is served from here in microseconds instead
 // of re-running search. Keys are `(canonical problem hash, options
-// fingerprint)` from cache/canonical.hpp; values carry the schedule as
-// `.paws` schedule text — rebindable by task *name* against any Problem
-// instance with the same canonical form, whatever its declaration order —
-// and, for entries made in this process, as start ticks in canonical task
-// order (the exact-hit fast path) — plus the solve's cost/finish/
-// provenOptimal verdict and a small effort snapshot so cache hits reprint
-// the same numbers the original solve did.
+// fingerprint)` from cache/canonical.hpp; a value carries the schedule
+// once, as start ticks in canonical task order (tasks sorted by name), so
+// it binds by index onto any Problem instance with the same canonical
+// form, whatever its declaration order — plus the solve's provenOptimal
+// verdict and a small effort snapshot so cache hits reprint the same
+// numbers the original solve did.
 //
 // Concurrency: the map is split into shards, each guarded by its own
 // mutex around an intrusive LRU list — `pawsc` batch workers on the
@@ -21,7 +20,8 @@
 //
 // Persistence (`--cache-dir`): save()/load() round-trip every live entry
 // through a single JSON file so successive CLI invocations hit too. The
-// format is versioned ("schema": 1); unreadable files or entries are
+// format is versioned ("schema": 2, one `starts` array per entry; a file
+// of any other schema is refused whole). Unreadable files or entries are
 // skipped, never fatal — a corrupt cache costs time, not correctness
 // (served entries are re-validated against the querying problem anyway,
 // see cached_solve.cpp).
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "base/hash.hpp"
-#include "base/time.hpp"
 #include "obs/metrics.hpp"
 #include "sched/result.hpp"
 
@@ -59,18 +58,10 @@ struct CacheKeyHash {
 };
 
 struct CacheEntry {
-  /// io::scheduleToText() output; rebinds by task name via parseSchedule.
-  /// The durable form: save()/load() and the near-miss path read it.
-  std::string scheduleText;
-  /// The same assignment as `scheduleText`, as start ticks in the
-  /// producing problem's CanonicalForm::taskOrder — an in-process exact
-  /// hit binds index i to the querying form's taskOrder[i] instead of
-  /// re-parsing the text. In-memory only: entries loaded from disk carry
-  /// an empty vector and fall back to parseSchedule.
+  /// Start ticks in the producing problem's CanonicalForm::taskOrder: a
+  /// serve binds index i to the querying form's taskOrder[i]. The only
+  /// stored form of the schedule, in memory and on disk.
   std::vector<std::int64_t> starts;
-  /// Schedule::energyCost(pmin) of the cached solve, in milliwatt-ticks.
-  std::int64_t costMwt = 0;
-  Time finish = Time::zero();
   /// True only for exhaustive solves that completed within their budgets.
   bool provenOptimal = false;
   /// CanonicalForm::structuralHash of the producing problem.
@@ -95,7 +86,7 @@ struct CacheStats {
   /// stream error) — each is a structured skip, never an abort.
   std::uint64_t loadRejectedFiles = 0;
   /// Individual persisted entries dropped during a load (missing fields,
-  /// bad hex keys, wrong types, over the entry cap).
+  /// bad hex keys, wrong types, starts out of bounds, over the entry cap).
   std::uint64_t loadSkippedEntries = 0;
 };
 
@@ -150,8 +141,10 @@ class ScheduleCache {
   /// corrupt, or newer-schema file => false with a descriptive error and
   /// a loadRejectedFiles count — a structured skip the caller may log and
   /// continue past; load() itself never throws or aborts. Malformed
-  /// individual entries inside a parseable file are dropped and counted
-  /// in loadSkippedEntries while the healthy remainder still loads.
+  /// individual entries inside a parseable file — including a `starts`
+  /// that is not an array of at most io::kMaxTasks integers in
+  /// [0, io::kMaxAbsTicks] — are dropped and counted in
+  /// loadSkippedEntries while the healthy remainder still loads.
   bool load(const std::string& path, std::string* error = nullptr);
 
   /// File name used inside a --cache-dir directory.

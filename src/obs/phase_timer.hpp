@@ -6,9 +6,7 @@
 //   * an observation in the MetricsRegistry histogram
 //     "phase.<name>.wall_us" (microseconds).
 //
-// Phases are coarse (a handful per scheduler run), so PhaseTimer stays
-// active even when fine-grained event tracing is compiled out with
-// PAWS_TRACE=OFF — --metrics keeps working in every build.
+// Phases are coarse: a handful per scheduler run.
 #pragma once
 
 #include <chrono>

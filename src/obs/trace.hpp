@@ -8,9 +8,9 @@
 // the effort that produced it.
 //
 // Cost model: every instrumentation site goes through the PAWS_TRACE_*
-// macros below, which compile to a single null-pointer check when tracing
-// is compiled in (the default) and to nothing when the CMake option
-// PAWS_TRACE is OFF (PAWS_TRACE_ENABLED=0). The sink itself is a
+// macros below, which compile to a single null-pointer check — with no
+// sink attached the hot searches run within run-to-run noise of a build
+// without the sites (docs/observability.md). The sink itself is a
 // single-writer append-only vector — the schedulers are single-threaded,
 // so "lock-free-enough" means no locks at all, just no shared mutation.
 #pragma once
@@ -155,13 +155,6 @@ class TraceSink {
 
 }  // namespace paws::obs
 
-// Compile-time switch: CMake -DPAWS_TRACE=OFF defines PAWS_TRACE_ENABLED=0
-// and every macro below vanishes, leaving the seed-identical hot path.
-#ifndef PAWS_TRACE_ENABLED
-#define PAWS_TRACE_ENABLED 1
-#endif
-
-#if PAWS_TRACE_ENABLED
 /// Instant event through a possibly-null TraceSink*.
 #define PAWS_TRACE_INSTANT(sink, ...)                       \
   do {                                                      \
@@ -172,11 +165,3 @@ class TraceSink {
   do {                                                      \
     if ((sink) != nullptr) (sink)->span(__VA_ARGS__);       \
   } while (0)
-#else
-#define PAWS_TRACE_INSTANT(sink, ...) \
-  do {                                \
-  } while (0)
-#define PAWS_TRACE_SPAN(sink, ...) \
-  do {                             \
-  } while (0)
-#endif

@@ -8,10 +8,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cache/schedule_cache.hpp"
+#include "io/parser.hpp"
 #include "support/temp_path.hpp"
 
 namespace paws::cache {
@@ -35,17 +38,15 @@ class PersistenceFixture : public ::testing::Test {
     out << body;
   }
 
-  /// A valid two-entry schema-1 file produced by save() itself.
+  /// A valid two-entry schema-2 file produced by save() itself.
   std::string goldenFile() {
     ScheduleCache cache(8, 1);
     CacheEntry a;
-    a.scheduleText = "schedule \"x\" of \"p\" {\n}\n";
-    a.costMwt = 42;
-    a.finish = Time(7);
+    a.starts = {0, 7, 42};
     a.structuralHash = 0xfeed;
     cache.insert(CacheKey{0xabc, 0x1}, a);
     CacheEntry b;
-    b.scheduleText = "t";
+    b.starts = {3};
     cache.insert(CacheKey{0xdef, 0x1}, b);
     std::string error;
     EXPECT_TRUE(cache.save(path_, &error)) << error;
@@ -82,8 +83,8 @@ TEST_F(PersistenceFixture, EveryByteChoppedPrefixIsAStructuredSkip) {
 }
 
 TEST_F(PersistenceFixture, NewerSchemaIsRejectedNotGuessedAt) {
-  writeFile("{\"schema\": 2, \"entries\": [{\"problem_hash\": \"1\","
-            " \"options_fp\": \"1\", \"schedule\": \"s\"}]}\n");
+  writeFile("{\"schema\": 3, \"entries\": [{\"problem_hash\": \"1\","
+            " \"options_fp\": \"1\", \"starts\": [0]}]}\n");
   ScheduleCache cache;
   std::string error;
   EXPECT_FALSE(cache.load(path_, &error));
@@ -92,14 +93,29 @@ TEST_F(PersistenceFixture, NewerSchemaIsRejectedNotGuessedAt) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST_F(PersistenceFixture, MalformedEntriesSkipWhileHealthyOnesLoad) {
+TEST_F(PersistenceFixture, SchemaOneFileIsRefusedWhole) {
+  // Schema 1 stored `.paws` schedule text; nothing in it binds by index.
   writeFile(R"({"schema": 1, "entries": [
-    {"problem_hash": "abc", "options_fp": "1", "schedule": "good"},
-    {"problem_hash": "xyzzy!", "options_fp": "1", "schedule": "bad hex"},
+    {"problem_hash": "abc", "options_fp": "1",
+     "schedule": "schedule \"x\" of \"p\" {\n}\n"}
+  ]})");
+  ScheduleCache cache;
+  std::string error;
+  EXPECT_FALSE(cache.load(path_, &error));
+  EXPECT_NE(error.find("schema"), std::string::npos);
+  EXPECT_EQ(cache.stats().loadRejectedFiles, 1u);
+  EXPECT_EQ(cache.stats().loadSkippedEntries, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST_F(PersistenceFixture, MalformedEntriesSkipWhileHealthyOnesLoad) {
+  writeFile(R"({"schema": 2, "entries": [
+    {"problem_hash": "abc", "options_fp": "1", "starts": [0, 4]},
+    {"problem_hash": "xyzzy!", "options_fp": "1", "starts": [0]},
     {"problem_hash": "abc"},
     "not even an object",
-    {"problem_hash": 123, "options_fp": "1", "schedule": "key not string"},
-    {"problem_hash": "def", "options_fp": "1", "schedule": "also good"}
+    {"problem_hash": 123, "options_fp": "1", "starts": [0]},
+    {"problem_hash": "def", "options_fp": "1", "starts": [2, 0]}
   ]})");
   ScheduleCache cache;
   std::string error;
@@ -111,10 +127,49 @@ TEST_F(PersistenceFixture, MalformedEntriesSkipWhileHealthyOnesLoad) {
   EXPECT_TRUE(cache.lookup(CacheKey{0xdef, 0x1}).has_value());
 }
 
+TEST_F(PersistenceFixture, StartsOutsideTheParserBoundsAreSkipped) {
+  // `starts` become start times of the querying problem, so the loader
+  // holds them to the parser's own bounds: at most io::kMaxTasks integers
+  // in [0, io::kMaxAbsTicks]. Only the entries at the bounds load.
+  const auto entry = [](const std::string& key, const std::string& starts) {
+    return "{\"problem_hash\": \"" + key +
+           "\", \"options_fp\": \"1\", \"starts\": " + starts + "}";
+  };
+  const auto zeros = [](std::size_t n) {
+    std::string out = "[";
+    for (std::size_t i = 0; i < n; ++i) out += i == 0 ? "0" : ", 0";
+    return out + "]";
+  };
+  const std::string maxTicks = std::to_string(io::kMaxAbsTicks);
+  writeFile("{\"schema\": 2, \"entries\": [" +
+            entry("1", "[0, " + maxTicks + "]") + ", " +
+            entry("2", zeros(io::kMaxTasks)) + ", " +
+            entry("3", "\"0 1\"") + ", " +
+            entry("4", "[0, 1.5]") + ", " +
+            entry("5", "[-1]") + ", " +
+            entry("6", "[" + std::to_string(io::kMaxAbsTicks + 1) + "]") +
+            ", " + entry("7", "[99999999999999999999]") + ", " +
+            entry("8", "[\"3\"]") + ", " +
+            entry("9", "[null]") + ", " +
+            entry("a", zeros(io::kMaxTasks + 1)) + "]}");
+  ScheduleCache cache;
+  std::string error;
+  EXPECT_TRUE(cache.load(path_, &error)) << error;
+  EXPECT_EQ(cache.stats().loadSkippedEntries, 8u);
+  EXPECT_EQ(cache.size(), 2u);
+  const std::optional<CacheEntry> atMax = cache.peek(CacheKey{0x1, 0x1});
+  ASSERT_TRUE(atMax.has_value());
+  EXPECT_EQ(atMax->starts,
+            (std::vector<std::int64_t>{0, io::kMaxAbsTicks}));
+  const std::optional<CacheEntry> longest = cache.peek(CacheKey{0x2, 0x1});
+  ASSERT_TRUE(longest.has_value());
+  EXPECT_EQ(longest->starts.size(), io::kMaxTasks);
+}
+
 TEST_F(PersistenceFixture, OverlongHexKeyIsSkippedNotTruncated) {
-  writeFile(R"({"schema": 1, "entries": [
+  writeFile(R"({"schema": 2, "entries": [
     {"problem_hash": "00000000000000000a", "options_fp": "1",
-     "schedule": "17 hex digits"}
+     "starts": [0]}
   ]})");
   ScheduleCache cache;
   EXPECT_TRUE(cache.load(path_));
@@ -123,8 +178,8 @@ TEST_F(PersistenceFixture, OverlongHexKeyIsSkippedNotTruncated) {
 }
 
 TEST_F(PersistenceFixture, DamagedStructuralHashDegradesToNoNearMissIndex) {
-  writeFile(R"({"schema": 1, "entries": [
-    {"problem_hash": "abc", "options_fp": "1", "schedule": "s",
+  writeFile(R"({"schema": 2, "entries": [
+    {"problem_hash": "abc", "options_fp": "1", "starts": [0],
      "structural_hash": "zz-not-hex"}
   ]})");
   ScheduleCache cache;

@@ -15,11 +15,11 @@ using namespace paws::literals;
 
 /// Two spellings of the same three-task problem: declarations permuted
 /// (resources, tasks and constraints each in a different order).
-Problem spellingA() {
+Problem spellingA(Duration delayOfA = 3_s) {
   Problem p("perm");
   const ResourceId cpu = p.addResource("cpu");
   const ResourceId radio = p.addResource("radio");
-  const TaskId a = p.addTask("a", 3_s, 2_W, cpu);
+  const TaskId a = p.addTask("a", delayOfA, 2_W, cpu);
   const TaskId b = p.addTask("b", 4_s, 3_W, radio);
   const TaskId c = p.addTask("c", 2_s, 1_W, cpu);
   p.minSeparation(a, b, 2_s);
@@ -150,6 +150,25 @@ TEST(CanonicalTest, TaskOrderNamesTheSameTaskInEverySpelling) {
     idsDiffer = idsDiffer || fa.taskOrder[i] != fb.taskOrder[i];
   }
   EXPECT_TRUE(idsDiffer) << "the spellings must declare tasks differently";
+}
+
+TEST(CanonicalTest, CostEditsKeepTaskOrderAndStructuralHash) {
+  // A near miss binds cached starts by canonical index, so an edit the
+  // structural hash ignores must not move the task order either.
+  const Problem base = spellingA();
+  const CanonicalForm fb = canonicalize(base);
+  Problem limits = spellingA();
+  limits.setMaxPower(9_W);
+  limits.setMinPower(1_W);
+  Problem power = spellingA();
+  power.setTaskPower(*power.findTask("b"), 5_W);
+  Problem delay = spellingA(7_s);
+  for (const Problem* edited : {&limits, &power, &delay}) {
+    const CanonicalForm fe = canonicalize(*edited);
+    EXPECT_NE(fe.hash, fb.hash);
+    EXPECT_EQ(fe.structuralHash, fb.structuralHash);
+    EXPECT_EQ(fe.taskOrder, fb.taskOrder);
+  }
 }
 
 TEST(CanonicalTest, OptionsFingerprintSeparatesSchedulers) {

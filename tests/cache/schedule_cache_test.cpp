@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "support/temp_path.hpp"
@@ -12,11 +13,9 @@
 namespace paws::cache {
 namespace {
 
-CacheEntry entryWith(const std::string& text, std::int64_t cost) {
+CacheEntry entryWith(std::vector<std::int64_t> starts) {
   CacheEntry e;
-  e.scheduleText = text;
-  e.costMwt = cost;
-  e.finish = Time(cost);
+  e.starts = std::move(starts);
   e.structuralHash = 7;
   e.stats.longestPathRuns = 3;
   e.nodesExplored = 11;
@@ -27,11 +26,10 @@ TEST(ScheduleCacheTest, MissThenHit) {
   ScheduleCache cache;
   const CacheKey key{1, 2};
   EXPECT_FALSE(cache.lookup(key).has_value());
-  cache.insert(key, entryWith("s", 5));
+  cache.insert(key, entryWith({0, 5}));
   const auto hit = cache.lookup(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->scheduleText, "s");
-  EXPECT_EQ(hit->costMwt, 5);
+  EXPECT_EQ(hit->starts, (std::vector<std::int64_t>{0, 5}));
   EXPECT_EQ(hit->stats.longestPathRuns, 3u);
   EXPECT_EQ(hit->nodesExplored, 11u);
   const CacheStats s = cache.stats();
@@ -44,7 +42,7 @@ TEST(ScheduleCacheTest, PeekIsNotTraffic) {
   ScheduleCache cache;
   const CacheKey key{1, 2};
   EXPECT_FALSE(cache.peek(key).has_value());
-  cache.insert(key, entryWith("s", 5));
+  cache.insert(key, entryWith({5}));
   EXPECT_TRUE(cache.peek(key).has_value());
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
@@ -53,11 +51,11 @@ TEST(ScheduleCacheTest, PeekIsNotTraffic) {
 
 TEST(ScheduleCacheTest, LruEvictsTheColdestEntry) {
   ScheduleCache cache(/*capacity=*/2, /*shards=*/1);
-  cache.insert(CacheKey{1, 0}, entryWith("a", 1));
-  cache.insert(CacheKey{2, 0}, entryWith("b", 2));
+  cache.insert(CacheKey{1, 0}, entryWith({1}));
+  cache.insert(CacheKey{2, 0}, entryWith({2}));
   // Touch "a" so "b" is the LRU victim when "c" arrives.
   EXPECT_TRUE(cache.lookup(CacheKey{1, 0}).has_value());
-  cache.insert(CacheKey{3, 0}, entryWith("c", 3));
+  cache.insert(CacheKey{3, 0}, entryWith({3}));
   EXPECT_TRUE(cache.lookup(CacheKey{1, 0}).has_value());
   EXPECT_FALSE(cache.lookup(CacheKey{2, 0}).has_value());
   EXPECT_TRUE(cache.lookup(CacheKey{3, 0}).has_value());
@@ -67,22 +65,23 @@ TEST(ScheduleCacheTest, LruEvictsTheColdestEntry) {
 
 TEST(ScheduleCacheTest, InsertOverwritesInPlace) {
   ScheduleCache cache(2, 1);
-  cache.insert(CacheKey{1, 0}, entryWith("old", 1));
-  cache.insert(CacheKey{1, 0}, entryWith("new", 9));
+  cache.insert(CacheKey{1, 0}, entryWith({1}));
+  cache.insert(CacheKey{1, 0}, entryWith({9, 4}));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.lookup(CacheKey{1, 0})->scheduleText, "new");
+  EXPECT_EQ(cache.lookup(CacheKey{1, 0})->starts,
+            (std::vector<std::int64_t>{9, 4}));
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(ScheduleCacheTest, StructuralIndexFindsNearMisses) {
   ScheduleCache cache;
-  CacheEntry e = entryWith("s", 5);
+  CacheEntry e = entryWith({5});
   e.structuralHash = 42;
   cache.insert(CacheKey{100, 7}, e);
   // Same skeleton + options, any canonical hash.
   const auto hit = cache.lookupStructural(42, 7);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->scheduleText, "s");
+  EXPECT_EQ(hit->starts, std::vector<std::int64_t>{5});
   // Different options fingerprint: no candidate.
   EXPECT_FALSE(cache.lookupStructural(42, 8).has_value());
   // Structural probes are not hit/miss traffic.
@@ -98,7 +97,7 @@ TEST(ScheduleCacheTest, ConcurrentMixedTrafficIsSafe) {
       for (std::uint64_t i = 0; i < 500; ++i) {
         const CacheKey key{(static_cast<std::uint64_t>(t) << 32) | (i % 64),
                            0};
-        cache.insert(key, entryWith("s", static_cast<std::int64_t>(i)));
+        cache.insert(key, entryWith({static_cast<std::int64_t>(i)}));
         (void)cache.lookup(key);
         (void)cache.lookupStructural(7, 0);
       }
@@ -113,12 +112,12 @@ TEST(ScheduleCacheTest, SaveLoadRoundTripsEntriesAndRecency) {
   const std::string path = testutil::uniqueTempPath(".json").string();
   {
     ScheduleCache cache(8, 1);
-    CacheEntry e = entryWith("schedule \"x\" of \"p\" {\n}\n", 123);
+    CacheEntry e = entryWith({0, 3, 1000000000000});
     e.provenOptimal = true;
     e.stats.backtracks = 2;
     e.stats.improvements = 4;
     cache.insert(CacheKey{0xabcdef, 0x123}, e);
-    cache.insert(CacheKey{0x111, 0x123}, entryWith("t", 9));
+    cache.insert(CacheKey{0x111, 0x123}, entryWith({}));
     std::string error;
     ASSERT_TRUE(cache.save(path, &error)) << error;
   }
@@ -130,8 +129,7 @@ TEST(ScheduleCacheTest, SaveLoadRoundTripsEntriesAndRecency) {
   EXPECT_EQ(cache.stats().insertions, 0u);
   const auto hit = cache.lookup(CacheKey{0xabcdef, 0x123});
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->scheduleText, "schedule \"x\" of \"p\" {\n}\n");
-  EXPECT_EQ(hit->costMwt, 123);
+  EXPECT_EQ(hit->starts, (std::vector<std::int64_t>{0, 3, 1000000000000}));
   EXPECT_TRUE(hit->provenOptimal);
   EXPECT_EQ(hit->stats.backtracks, 2u);
   EXPECT_EQ(hit->stats.improvements, 4u);

@@ -361,14 +361,12 @@ TEST(CachedSolveTest, PermutedDeclarationHitsThroughCanonicalOrder) {
   SolveSpec spec;  // pipeline
   const ScheduleResult a = solveThroughCache(&cache, gp.problem, spec);
   ASSERT_TRUE(a.ok());
-  // Break the entry's text: a hit can now only bind through the starts
-  // kept in canonical task order.
+  // The entry holds one start per task, in canonical task order — the
+  // only form a hit can bind through.
   const CacheKey key{form.hash, optionsFingerprint("pipeline", spec.trials)};
-  std::optional<CacheEntry> entry = cache.peek(key);
+  const std::optional<CacheEntry> entry = cache.peek(key);
   ASSERT_TRUE(entry.has_value());
   ASSERT_EQ(entry->starts.size(), gp.problem.numTasks());
-  entry->scheduleText = "not a schedule";
-  cache.insert(key, *entry);
 
   SolveInfo info;
   const ScheduleResult b = solveThroughCache(&cache, permuted, spec, &info);
@@ -378,16 +376,48 @@ TEST(CachedSolveTest, PermutedDeclarationHitsThroughCanonicalOrder) {
   EXPECT_TRUE(ScheduleValidator(permuted).validate(*b.schedule).valid());
 }
 
-TEST(CachedSolveTest, EntryLoadedFromDiskBindsThroughItsText) {
+TEST(CachedSolveTest, NearMissBindsByCanonicalIndexInEveryDeclaration) {
+  // A near miss binds the cached starts by canonical index, like an exact
+  // hit: the reversed declaration of the delta problem must be served the
+  // same by-name schedule as the original declaration.
+  const GeneratedProblem gp = generateRandomProblem(smallConfig(13));
+  Problem delta = gp.problem;
+  delta.setMaxPower(delta.maxPower() + Watts::fromWatts(1));
+  Problem reversed = declaredInReverse(delta);
+  ASSERT_NE(reversed.task(TaskId(1)).name, delta.task(TaskId(1)).name);
+  ASSERT_EQ(canonicalize(reversed).hash, canonicalize(delta).hash);
+  ASSERT_NE(canonicalize(delta).hash, canonicalize(gp.problem).hash);
+
+  SolveSpec spec;  // pipeline
+  std::map<std::string, std::int64_t> served[2];
+  int side = 0;
+  for (const Problem* query : {&delta, &reversed}) {
+    ScheduleCache cache;
+    ASSERT_TRUE(solveThroughCache(&cache, gp.problem, spec).ok());
+    SolveInfo info;
+    const ScheduleResult r = solveThroughCache(&cache, *query, spec, &info);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(info.revalidated) << "side " << side;
+    EXPECT_TRUE(ScheduleValidator(*query).validate(*r.schedule).valid());
+    served[side++] = startsByName(*r.schedule);
+  }
+  EXPECT_EQ(served[1], served[0]);
+}
+
+TEST(CachedSolveTest, EntryLoadedFromDiskBindsThroughItsStarts) {
   const GeneratedProblem gp = generateRandomProblem(smallConfig(13));
   const Problem permuted = declaredInReverse(gp.problem);
   const std::string path = testutil::uniqueTempPath(".json").string();
   SolveSpec spec;  // pipeline
+  const CacheKey key{canonicalize(gp.problem).hash,
+                     optionsFingerprint("pipeline", spec.trials)};
   ScheduleResult a;
+  std::vector<std::int64_t> savedStarts;
   {
     ScheduleCache cache;
     a = solveThroughCache(&cache, gp.problem, spec);
     ASSERT_TRUE(a.ok());
+    savedStarts = cache.peek(key).value().starts;
     std::string error;
     ASSERT_TRUE(cache.save(path, &error)) << error;
   }
@@ -395,11 +425,10 @@ TEST(CachedSolveTest, EntryLoadedFromDiskBindsThroughItsText) {
   std::string error;
   ASSERT_TRUE(cache.load(path, &error)) << error;
   std::remove(path.c_str());
-  const CacheKey key{canonicalize(gp.problem).hash,
-                     optionsFingerprint("pipeline", spec.trials)};
   const std::optional<CacheEntry> entry = cache.peek(key);
   ASSERT_TRUE(entry.has_value());
-  EXPECT_TRUE(entry->starts.empty()) << "starts are in-memory only";
+  ASSERT_EQ(entry->starts.size(), gp.problem.numTasks());
+  EXPECT_EQ(entry->starts, savedStarts) << "starts round-trip through disk";
 
   SolveInfo info;
   const ScheduleResult b = solveThroughCache(&cache, permuted, spec, &info);
@@ -416,8 +445,8 @@ TEST(CachedSolveTest, TamperedStartsReadAsAMissNotAWrongAnswer) {
   const ScheduleResult cold = solveThroughCache(nullptr, gp.problem, spec);
   ASSERT_TRUE(cold.ok());
 
-  // Wrong length (the text is still intact), then the right length with
-  // every task at 0 — overlapping on a shared resource, so invalid.
+  // Wrong length, then the right length with every task at 0 —
+  // overlapping on a shared resource, so invalid.
   for (const bool wrongLength : {true, false}) {
     ScheduleCache cache;
     ASSERT_TRUE(solveThroughCache(&cache, gp.problem, spec).ok());
@@ -439,15 +468,16 @@ TEST(CachedSolveTest, TamperedStartsReadAsAMissNotAWrongAnswer) {
 }
 
 TEST(CachedSolveTest, HashCollisionServesAMissNotAWrongAnswer) {
-  // Force the pathological case by inserting an entry whose schedule text
-  // cannot rebind to the querying problem under the right key: the resolver
-  // must fall through to a cold solve, never serve garbage.
+  // Force the pathological case by inserting, under the right key, the
+  // starts of some other problem with one task more: they cannot bind to
+  // the querying problem, exactly nor as a near miss, so the resolver must
+  // fall through to a cold solve, never serve garbage.
   ScheduleCache cache;
   const GeneratedProblem gp = generateRandomProblem(smallConfig(11));
   SolveSpec spec;
   const CanonicalForm form = canonicalize(gp.problem);
   CacheEntry poisoned;
-  poisoned.scheduleText = "schedule \"x\" of \"some_other_problem\" {\n}\n";
+  poisoned.starts.assign(gp.problem.numTasks() + 1, 0);
   poisoned.structuralHash = form.structuralHash;
   cache.insert(CacheKey{form.hash, optionsFingerprint("pipeline", 4)},
                poisoned);
@@ -455,6 +485,7 @@ TEST(CachedSolveTest, HashCollisionServesAMissNotAWrongAnswer) {
   const ScheduleResult r = solveThroughCache(&cache, gp.problem, spec, &info);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(info.cacheHit);
+  EXPECT_FALSE(info.revalidated);
   EXPECT_TRUE(ScheduleValidator(gp.problem).validate(*r.schedule).valid());
 }
 

@@ -57,15 +57,12 @@ TEST(SchedulerObsTest, PipelineRecordsPhasesEventsAndConsistentMetrics) {
   }
   // The paper example is built to exercise spike elimination.
   EXPECT_GT(r.stats.delays + r.stats.locks, 0u);
-#if PAWS_TRACE_ENABLED
-  // The search itself showed up as typed events (compiled out with
-  // PAWS_TRACE=OFF; phase spans and metrics remain).
+  // The search itself showed up as typed events.
   EXPECT_GT(countKind(sink, TraceEventKind::kCandidate), 0u);
   EXPECT_GT(countKind(sink, TraceEventKind::kLongestPath), 0u);
   EXPECT_GT(countKind(sink, TraceEventKind::kScanPass), 0u);
   EXPECT_EQ(countKind(sink, TraceEventKind::kDelay), r.stats.delays);
   EXPECT_EQ(countKind(sink, TraceEventKind::kLock), r.stats.locks);
-#endif
 
   // The registry's search.* counters reconstruct the stats struct exactly.
   const SchedulerStats fromMetrics = statsFromMetrics(metrics);
@@ -113,10 +110,8 @@ TEST(LongestPathObsTest, EngineEmitsSpansAndRunCounters) {
   ASSERT_TRUE(engine.compute(kAnchorTask).feasible);
   EXPECT_EQ(metrics.counter("longest_path.runs"), 2u);
   EXPECT_EQ(metrics.counter("longest_path.incremental_runs"), 1u);
-#if PAWS_TRACE_ENABLED
   ASSERT_EQ(countKind(sink, TraceEventKind::kLongestPath), 2u);
   EXPECT_STREQ(sink.events().back().label, "incremental");
-#endif
 }
 
 TEST(ExecutorObsTest, IterationSpansAndOutcomeCounters) {

@@ -40,6 +40,27 @@ constexpr const char* kStormProblem =
     "  min a -> c 1\n"
     "}\n";
 
+/// Sixteen chained tasks on four resources under a tight Pmax: the
+/// exhaustive search cannot finish it within seconds, so an `optimal`
+/// request on it holds its solver until its timeout_ms trips, whatever
+/// the CPU speed.
+std::string blockerProblem() {
+  std::string text = "problem \"blocker\" {\n  pmax 14W\n  pmin 6W\n";
+  for (int r = 0; r < 4; ++r) {
+    text += "  resource r" + std::to_string(r) + "\n";
+  }
+  for (int i = 0; i < 16; ++i) {
+    text += "  task t" + std::to_string(i) + " { resource r" +
+            std::to_string(i % 4) + " delay " + std::to_string(2 + i % 5) +
+            " power " + std::to_string(3 + i % 4) + "W }\n";
+  }
+  for (int i = 0; i + 4 < 16; ++i) {
+    text += "  precedes t" + std::to_string(i) + " -> t" +
+            std::to_string(i + 4) + "\n";
+  }
+  return text + "}\n";
+}
+
 bool knownOutcome(const std::string& outcome) {
   return outcome == "ok" || outcome == "anytime" || outcome == "infeasible" ||
          outcome == "invalid" || outcome == "overloaded" ||
@@ -193,11 +214,34 @@ TEST(ServiceChaos, BurstBeyondCapacityShedsStructuredAndRecovers) {
   ASSERT_TRUE(daemon.start(&error)) << error;
   std::thread runner([&daemon] { daemon.run(); });
 
+  // Occupy the single solver first, for a time its timeout_ms sets, so
+  // the wave meets a busy solver however fast this machine drains it.
+  std::atomic<std::uint64_t> broken{0};
+  std::thread blocker([&] {
+    Request request;
+    request.problemText = blockerProblem();
+    request.scheduler = "optimal";
+    request.timeoutMs = 1500;
+    Response response;
+    if (!requestOnce(daemon.boundAddress(), request, response, 20000)) {
+      broken.fetch_add(1);
+      return;
+    }
+    EXPECT_TRUE(knownOutcome(response.outcome)) << response.outcome;
+  });
+  // Fire the wave only once the blocker is admitted.
+  const auto admitBy =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (daemon.metricsSnapshot().counter("serve.accepted") == 0 &&
+         std::chrono::steady_clock::now() < admitBy) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(daemon.metricsSnapshot().counter("serve.accepted"), 1u);
+
   // A synchronized wave of expensive requests, several times capacity.
   constexpr std::size_t kWave = 12;
   std::atomic<std::uint64_t> shed{0};
   std::atomic<std::uint64_t> served{0};
-  std::atomic<std::uint64_t> broken{0};
   std::vector<std::thread> wave;
   wave.reserve(kWave);
   for (std::size_t c = 0; c < kWave; ++c) {
@@ -219,6 +263,7 @@ TEST(ServiceChaos, BurstBeyondCapacityShedsStructuredAndRecovers) {
     });
   }
   for (auto& t : wave) t.join();
+  blocker.join();
 
   // Nobody got a dropped connection, at least someone was served, and a
   // wave this far past a 2-deep queue must have shed.
