@@ -1,6 +1,5 @@
 #include "analysis/analysis.hpp"
 
-#include <algorithm>
 #include <set>
 
 namespace paws {
@@ -23,46 +22,6 @@ std::vector<EcBreakpoint> ScheduleAnalysis::energyCostCurve(
     curve.push_back(EcBreakpoint{level, profile.energyAbove(level)});
   }
   return curve;
-}
-
-Energy ScheduleAnalysis::energyCostAt(const Schedule& schedule, Watts pmin) {
-  return schedule.powerProfile().energyAbove(pmin);
-}
-
-double ScheduleAnalysis::utilizationAt(const Schedule& schedule, Watts pmin) {
-  return schedule.powerProfile().utilization(pmin);
-}
-
-Watts ScheduleAnalysis::sustainedFloor(const Schedule& schedule) {
-  const PowerProfile& profile = schedule.powerProfile();
-  if (profile.empty()) return Watts::zero();
-  Watts floor = Watts::max();
-  for (const PowerSegment& s : profile.segments()) {
-    floor = std::min(floor, s.power);
-  }
-  return floor;
-}
-
-void ScheduleLibrary::add(std::string label, Schedule schedule) {
-  const Watts peak = schedule.powerProfile().peak();
-  entries_.push_back(Entry{std::move(label), std::move(schedule), peak});
-}
-
-const ScheduleLibrary::Entry* ScheduleLibrary::select(Watts pmax,
-                                                      Watts pmin) const {
-  const Entry* best = nullptr;
-  Energy bestCost;
-  for (const Entry& e : entries_) {
-    if (e.minimalPmax > pmax) continue;  // would spike under this budget
-    const Energy cost = e.schedule.energyCost(pmin);
-    if (best == nullptr || cost < bestCost ||
-        (cost == bestCost &&
-         e.schedule.finish() < best->schedule.finish())) {
-      best = &e;
-      bestCost = cost;
-    }
-  }
-  return best;
 }
 
 }  // namespace paws

@@ -3,25 +3,20 @@
 // Section 5.3 observes that the improved schedule of Fig. 7 "can be
 // directly applied to all cases with Pmax >= 16, Pmin <= 14, without
 // recomputing a schedule for each case", which is what makes statically
-// computed power-aware schedules usable by a lightweight runtime selector.
-// This module makes those ranges first-class:
+// computed power-aware schedules usable by a lightweight runtime selector
+// (runtime/executor.hpp). This module makes those ranges first-class:
 //
 //   * minimalValidPmax — the schedule stays power-valid for every budget at
 //     or above its profile peak;
 //   * energyCostCurve  — Ec(Pmin) is piecewise linear in Pmin with
 //     breakpoints exactly at the profile's distinct power levels; we return
 //     the exact breakpoints so callers can evaluate or plot without
-//     sampling error;
-//   * utilization & cost evaluation at arbitrary (Pmax, Pmin) pairs.
+//     sampling error.
 //
-// ScheduleLibrary is the runtime half: it holds statically computed
-// schedules and selects, for the current (Pmax, Pmin) environment, the best
-// valid one (lowest energy cost, ties on finish time) — no rescheduling on
-// the flight computer.
+// Cost and utilization at an arbitrary floor are PowerProfile::energyAbove
+// and PowerProfile::utilization on the schedule's profile.
 #pragma once
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "base/units.hpp"
@@ -42,43 +37,8 @@ class ScheduleAnalysis {
 
   /// Exact breakpoints of Ec(Pmin), ascending in Pmin, from 0 W up to the
   /// profile peak (where the cost reaches 0). Between breakpoints the curve
-  /// is linear; evaluate with energyCostAt().
+  /// is linear; evaluate with PowerProfile::energyAbove().
   static std::vector<EcBreakpoint> energyCostCurve(const Schedule& schedule);
-
-  /// Ec(Pmin) for an arbitrary floor (exact, not interpolated).
-  static Energy energyCostAt(const Schedule& schedule, Watts pmin);
-
-  /// rho(Pmin) for an arbitrary floor.
-  static double utilizationAt(const Schedule& schedule, Watts pmin);
-
-  /// Largest Pmin with full utilization (rho = 1): the level the profile
-  /// sustains over its whole span. Zero when the profile ever idles.
-  static Watts sustainedFloor(const Schedule& schedule);
-};
-
-/// A set of statically computed schedules plus runtime selection — the
-/// paper's deployment model for dynamically changing power constraints.
-class ScheduleLibrary {
- public:
-  struct Entry {
-    std::string label;
-    Schedule schedule;
-    Watts minimalPmax;  // cached peak
-  };
-
-  /// Registers a schedule under `label` (e.g. "best-case", "dust-storm").
-  void add(std::string label, Schedule schedule);
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-
-  /// Picks the entry that is power-valid under `pmax` with the lowest
-  /// energy cost at `pmin`; ties break on finish time, then insertion
-  /// order. Returns nullptr when no registered schedule fits the budget.
-  [[nodiscard]] const Entry* select(Watts pmax, Watts pmin) const;
-
- private:
-  std::vector<Entry> entries_;
 };
 
 }  // namespace paws

@@ -7,20 +7,6 @@
 
 namespace paws::fault {
 
-const char* toString(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kTaskOverrun:
-      return "task-overrun";
-    case FaultKind::kTaskFailure:
-      return "task-failure";
-    case FaultKind::kSolarTransient:
-      return "solar-transient";
-    case FaultKind::kBatteryDerate:
-      return "battery-derate";
-  }
-  return "?";
-}
-
 std::string describe(const Fault& fault) {
   std::ostringstream os;
   switch (fault.kind) {

@@ -45,8 +45,6 @@ enum class FaultKind : std::uint8_t {
   kBatteryDerate,  ///< capacity/output scaled to *Pct at time `at`
 };
 
-const char* toString(FaultKind kind);
-
 /// One scripted fault. Only the fields of its kind are meaningful; the
 /// named constructors on FaultPlan are the intended way to build one.
 struct Fault {

@@ -29,13 +29,6 @@ std::ostream& operator<<(std::ostream& os, EdgeKind kind) {
 ConstraintGraph::ConstraintGraph(std::size_t numVertices)
     : out_(numVertices), in_(numVertices) {}
 
-void ConstraintGraph::addVertices(std::size_t count) {
-  if (count == 0) return;
-  out_.resize(out_.size() + count);
-  in_.resize(in_.size() + count);
-  ++generation_;
-}
-
 void ConstraintGraph::reserveEdges(std::size_t numEdges) {
   edges_.reserve(numEdges);
   // Worst case one chunk per edge (every edge opening a fresh tail chunk).

@@ -155,9 +155,6 @@ class ConstraintGraph {
   [[nodiscard]] std::size_t numVertices() const { return out_.size(); }
   [[nodiscard]] std::size_t numEdges() const { return edges_.size(); }
 
-  /// Appends vertex slots (used by problems that grow after graph creation).
-  void addVertices(std::size_t count);
-
   /// Adds the constraint sigma(to) - sigma(from) >= weight.
   EdgeId addEdge(TaskId from, TaskId to, Duration weight, EdgeKind kind);
 

@@ -14,13 +14,6 @@ const char* toString(StopReason reason) {
   return "unknown";
 }
 
-std::optional<StopReason> stopReasonFromString(std::string_view text) {
-  if (text == "none") return StopReason::kNone;
-  if (text == "deadline") return StopReason::kDeadline;
-  if (text == "cancelled") return StopReason::kCancelled;
-  return std::nullopt;
-}
-
 RunBudget RunBudget::resolved(std::chrono::steady_clock::time_point now) const {
   RunBudget out = *this;
   if (out.timeout.has_value()) {

@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
-#include <string_view>
 
 #include "guard/cancel.hpp"
 
@@ -35,11 +34,6 @@ enum class StopReason : std::uint8_t {
 };
 
 [[nodiscard]] const char* toString(StopReason reason);
-
-/// Inverse of toString(StopReason); nullopt for unknown text. Used by the
-/// run-report parser (obs/report.hpp) to round-trip the stop reason.
-[[nodiscard]] std::optional<StopReason> stopReasonFromString(
-    std::string_view text);
 
 /// Limits for one scheduling run. Default-constructed = unlimited.
 struct RunBudget {

@@ -1,7 +1,7 @@
 // Schedule save/load in .paws-style syntax — the persistence half of the
 // runtime deployment story: schedules are computed offline, written next
-// to the problem file, and loaded by the flight software into a
-// ScheduleLibrary.
+// to the problem file, and loaded back for a mid-flight repair when the
+// budget changes (`pawsc repair`).
 //
 //   schedule "label" of "problem_name" {
 //     at heat_wheel1 0

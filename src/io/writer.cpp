@@ -145,26 +145,6 @@ void writeScheduleCsv(std::ostream& os, const Schedule& schedule) {
   }
 }
 
-std::string scheduleToCsv(const Schedule& schedule) {
-  std::ostringstream os;
-  writeScheduleCsv(os, schedule);
-  return os.str();
-}
-
-void writeProfileCsv(std::ostream& os, const PowerProfile& profile) {
-  os << "begin,end,power_mw\n";
-  for (const PowerSegment& s : profile.segments()) {
-    os << s.interval.begin().ticks() << ',' << s.interval.end().ticks()
-       << ',' << s.power.milliwatts() << "\n";
-  }
-}
-
-std::string profileToCsv(const PowerProfile& profile) {
-  std::ostringstream os;
-  writeProfileCsv(os, profile);
-  return os.str();
-}
-
 void writeChromeTrace(std::ostream& os, const Schedule& schedule) {
   const Problem& p = schedule.problem();
   os << "{\"traceEvents\":[";
@@ -188,12 +168,6 @@ void writeChromeTrace(std::ostream& os, const Schedule& schedule) {
        << p.resource(r).name << "\"}}";
   }
   os << "]}";
-}
-
-std::string scheduleToChromeTrace(const Schedule& schedule) {
-  std::ostringstream os;
-  writeChromeTrace(os, schedule);
-  return os.str();
 }
 
 }  // namespace paws::io

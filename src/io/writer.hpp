@@ -1,5 +1,5 @@
 // Writers: Problem -> .paws text (round-trips through the parser) and
-// Schedule -> CSV for external analysis/plotting.
+// Schedule -> CSV or Chrome-trace JSON for external analysis/plotting.
 #pragma once
 
 #include <iosfwd>
@@ -25,17 +25,10 @@ std::string problemToText(const Problem& problem);
 /// CSV: task,resource,start,end,power_mw,energy_mwticks — one row per task
 /// in start order.
 void writeScheduleCsv(std::ostream& os, const Schedule& schedule);
-std::string scheduleToCsv(const Schedule& schedule);
-
-/// CSV of the power profile: begin,end,power_mw — one row per constant
-/// segment, for external plotting of the power view.
-void writeProfileCsv(std::ostream& os, const PowerProfile& profile);
-std::string profileToCsv(const PowerProfile& profile);
 
 /// Chrome-tracing JSON (chrome://tracing, Perfetto): one complete event
 /// ("ph":"X") per task, one row per resource, power in the event args —
 /// the schedule opens in any trace viewer.
 void writeChromeTrace(std::ostream& os, const Schedule& schedule);
-std::string scheduleToChromeTrace(const Schedule& schedule);
 
 }  // namespace paws::io

@@ -143,14 +143,6 @@ std::optional<ResourceId> Problem::findResource(std::string_view name) const {
   return it->second;
 }
 
-Energy Problem::totalTaskEnergy() const {
-  Energy total;
-  for (std::size_t i = 1; i < tasks_.size(); ++i) {
-    total += tasks_[i].energy();
-  }
-  return total;
-}
-
 std::vector<std::string> Problem::validate() const {
   std::vector<std::string> issues;
   auto report = [&issues](const auto&... parts) {

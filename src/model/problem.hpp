@@ -201,10 +201,6 @@ class Problem {
     return modes_;
   }
 
-  /// Sum of all task energies plus nothing for background (background
-  /// depends on the schedule makespan).
-  [[nodiscard]] Energy totalTaskEnergy() const;
-
   /// Structural diagnostics (empty when the problem is well-formed):
   /// tasks with non-positive delay, constraints touching the anchor twice,
   /// duplicate names, min>max separation pairs, etc.

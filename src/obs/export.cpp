@@ -106,12 +106,6 @@ void writeSearchTraceJson(std::ostream& os, const TraceSink& sink) {
   os << "]}";
 }
 
-std::string searchTraceToJson(const TraceSink& sink) {
-  std::ostringstream os;
-  writeSearchTraceJson(os, sink);
-  return os.str();
-}
-
 void writeSearchTraceJsonl(std::ostream& os, const TraceSink& sink) {
   for (const TraceEvent& e : sink.events()) {
     os << "{\"kind\":\"" << toString(e.kind) << "\",\"ts_ns\":" << e.tsNs
@@ -122,12 +116,6 @@ void writeSearchTraceJsonl(std::ostream& os, const TraceSink& sink) {
     if (e.label[0] != '\0') os << ",\"label\":\"" << e.label << "\"";
     os << "}\n";
   }
-}
-
-std::string searchTraceToJsonl(const TraceSink& sink) {
-  std::ostringstream os;
-  writeSearchTraceJsonl(os, sink);
-  return os.str();
 }
 
 std::string renderObsSummary(const MetricsRegistry& metrics,

@@ -28,10 +28,7 @@ namespace paws::obs {
 class IncumbentLog;
 
 void writeSearchTraceJson(std::ostream& os, const TraceSink& sink);
-[[nodiscard]] std::string searchTraceToJson(const TraceSink& sink);
-
 void writeSearchTraceJsonl(std::ostream& os, const TraceSink& sink);
-[[nodiscard]] std::string searchTraceToJsonl(const TraceSink& sink);
 
 /// Optional context lines appended to the --obs-summary text: the guard's
 /// stop reason (omitted while empty or "none") and the incumbent

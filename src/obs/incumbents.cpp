@@ -31,9 +31,4 @@ std::size_t IncumbentLog::size() const {
   return points_.size();
 }
 
-void IncumbentLog::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  points_.clear();
-}
-
 }  // namespace paws::obs

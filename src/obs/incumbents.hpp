@@ -55,7 +55,6 @@ class IncumbentLog {
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] bool empty() const { return size() == 0; }
-  void clear();
 
   /// Nanoseconds since this log was created (steady clock).
   [[nodiscard]] std::int64_t nowNs() const;

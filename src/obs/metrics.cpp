@@ -224,12 +224,6 @@ void MetricsRegistry::writeCsv(std::ostream& os) const {
   }
 }
 
-std::string MetricsRegistry::toCsv() const {
-  std::ostringstream os;
-  writeCsv(os);
-  return os.str();
-}
-
 std::string MetricsRegistry::renderTable() const {
   std::ostringstream os;
   if (!counters_.empty() || !gauges_.empty()) {
@@ -270,12 +264,6 @@ std::string MetricsRegistry::renderTable() const {
     }
   }
   return os.str();
-}
-
-void MetricsRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 }  // namespace paws::obs

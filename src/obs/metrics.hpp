@@ -1,12 +1,12 @@
 // MetricsRegistry — named counters, gauges and histograms for search
 // effort and wall-clock accounting.
 //
-// This subsumes the fixed-field SchedulerStats struct (which stays as a
-// thin compatibility view; see sched/result.hpp's exportStats /
-// statsFromMetrics): schedulers keep their cheap plain-integer counters on
-// the hot path, and full runs export them into a registry under stable
-// names, alongside metrics the struct cannot hold — phase wall times,
-// per-run longest-path durations, executor outcomes.
+// This subsumes the fixed-field SchedulerStats struct (see
+// sched/result.hpp's exportStats): schedulers keep their cheap
+// plain-integer counters on the hot path, and full runs export them into
+// a registry under stable names, alongside metrics the struct cannot
+// hold — phase wall times, per-run longest-path durations, executor
+// outcomes.
 //
 // Histograms are *bucketed*: besides count/sum/min/max every observation
 // lands in one of 64 log2 buckets (bucket 0 = values below 1, bucket i =
@@ -115,12 +115,9 @@ class MetricsRegistry {
   ///   name,kind,value,count,sum,min,max,mean,p50,p90,p99
   /// Counters/gauges fill `value`; histograms fill the summary columns.
   void writeCsv(std::ostream& os) const;
-  [[nodiscard]] std::string toCsv() const;
 
   /// Human-readable aligned table (the CLI's --obs-summary body).
   [[nodiscard]] std::string renderTable() const;
-
-  void clear();
 
  private:
   // Ordered maps: export order is deterministic and sorted by name.

@@ -69,11 +69,6 @@ void writeHistogram(std::ostream& os, const HistogramSummary& h,
   os << "]\n" << indent << "}";
 }
 
-bool isTimingName(std::string_view name) {
-  return name.size() >= 3 && (name.substr(name.size() - 3) == "_us" ||
-                              name.substr(name.size() - 3) == "_ns");
-}
-
 }  // namespace
 
 void stampVolatile(RunReport& report) {
@@ -87,19 +82,6 @@ void stampVolatile(RunReport& report) {
   } else {
     report.host.clear();
   }
-}
-
-void RunReport::normalizeVolatile() {
-  createdUnixMs = 0;
-  host.clear();
-  for (IncumbentPoint& p : incumbents) p.tsNs = 0;
-  MetricsRegistry kept;
-  for (const auto& [name, v] : metrics.counters()) kept.add(name, v);
-  for (const auto& [name, v] : metrics.gauges()) kept.set(name, v);
-  for (const auto& [name, h] : metrics.histograms()) {
-    if (!isTimingName(name)) kept.setHistogram(name, h);
-  }
-  metrics = std::move(kept);
 }
 
 void writeRunReport(std::ostream& os, const RunReport& r) {

@@ -72,13 +72,6 @@ struct RunReport {
   std::int64_t createdUnixMs = 0;
   std::string host;
 
-  /// Strips everything that varies between two runs of the same binary on
-  /// the same input: creation time, host name, incumbent timestamps (costs
-  /// stay), and every timing histogram (names ending in "_us" or "_ns").
-  /// What remains is byte-stable for deterministic runs — the golden-report
-  /// test compares normalized JSON.
-  void normalizeVolatile();
-
   [[nodiscard]] bool operator==(const RunReport&) const = default;
 };
 

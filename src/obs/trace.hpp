@@ -131,14 +131,6 @@ class TraceSink {
   /// Events refused because the cap was reached.
   [[nodiscard]] std::uint64_t droppedEvents() const { return dropped_; }
   [[nodiscard]] std::size_t maxEvents() const { return maxEvents_; }
-  /// Adjusts the cap; events already held are kept even if over the new
-  /// cap (only future records are refused).
-  void setMaxEvents(std::size_t maxEvents) { maxEvents_ = maxEvents; }
-
-  void clear() {
-    events_.clear();
-    dropped_ = 0;
-  }
 
  private:
   [[nodiscard]] bool admit() {
@@ -148,7 +140,7 @@ class TraceSink {
   }
 
   std::chrono::steady_clock::time_point epoch_;
-  std::size_t maxEvents_;
+  const std::size_t maxEvents_;
   std::uint64_t dropped_ = 0;
   std::vector<TraceEvent> events_;
 };

@@ -169,27 +169,6 @@ std::vector<Interval> PowerProfile::gaps(Watts pmin) const {
   return result;
 }
 
-std::optional<Time> PowerProfile::firstGap(Watts pmin, Time from) const {
-  for (const PowerSegment& s : segments_) {
-    if (s.interval.end() <= from) continue;
-    if (s.power < pmin) return std::max(s.interval.begin(), from);
-  }
-  return std::nullopt;
-}
-
-Watts PowerProfile::maxStep() const {
-  Watts best = Watts::zero();
-  Watts prev = Watts::zero();
-  for (const PowerSegment& s : segments_) {
-    const Watts step = s.power > prev ? s.power - prev : prev - s.power;
-    best = std::max(best, step);
-    prev = s.power;
-  }
-  // Final drop back to zero at the end of the span.
-  best = std::max(best, prev);
-  return best;
-}
-
 std::ostream& operator<<(std::ostream& os, const PowerProfile& profile) {
   os << "profile{";
   for (std::size_t i = 0; i < profile.segments().size(); ++i) {

@@ -109,14 +109,6 @@ class PowerProfile {
   /// Maximal intervals where P(t) < pmin (soft min-power violations).
   [[nodiscard]] std::vector<Interval> gaps(Watts pmin) const;
 
-  /// Earliest time t with P(t) < pmin at or after `from`, if any.
-  [[nodiscard]] std::optional<Time> firstGap(Watts pmin,
-                                             Time from = Time::zero()) const;
-
-  /// Largest instantaneous power change across any breakpoint (power
-  /// jitter — the secondary motivation for the min power constraint).
-  [[nodiscard]] Watts maxStep() const;
-
  private:
   friend class PowerProfileBuilder;
   std::vector<PowerSegment> segments_;

@@ -31,16 +31,13 @@ void ProfileEngine::unregisterSegment(Time begin, Watts level) {
 }
 
 void ProfileEngine::energyDelta(Watts level, Duration length, bool add) {
-  const Energy t = level * length;
   const Energy a =
       level > pmin_ ? (level - pmin_) * length : Energy::zero();
   const Energy c = std::min(level, pmin_) * length;
   if (add) {
-    total_ += t;
     above_ += a;
     capped_ += c;
   } else {
-    total_ = total_ - t;
     above_ = above_ - a;
     capped_ = capped_ - c;
   }
@@ -222,7 +219,6 @@ void ProfileEngine::clear() {
   finish_ = Time::zero();
   level_.clear();
   ends_.clear();
-  total_ = Energy::zero();
   above_ = Energy::zero();
   capped_ = Energy::zero();
   spikeStarts_.clear();
@@ -261,12 +257,6 @@ Watts ProfileEngine::valueAt(Time t) const {
   return std::prev(level_.upper_bound(t))->second;
 }
 
-Watts ProfileEngine::peak() const {
-  Watts best = Watts::zero();
-  for (const auto& [begin, level] : level_) best = std::max(best, level);
-  return best;
-}
-
 double ProfileEngine::utilization() const {
   if (pmin_ <= Watts::zero() || finish_ <= Time::zero()) return 1.0;
   const Energy available = pmin_ * (finish_ - Time::zero());
@@ -281,16 +271,6 @@ std::optional<Time> ProfileEngine::firstSpike(Time from) const {
   }
   const auto it = spikeStarts_.lower_bound(from);
   if (it != spikeStarts_.end()) return *it;
-  return std::nullopt;
-}
-
-std::optional<Time> ProfileEngine::firstGap(Time from) const {
-  if (from > Time::zero() && from < finish_) {
-    const auto seg = std::prev(level_.upper_bound(from));
-    if (seg->first < from && seg->second < pmin_) return from;
-  }
-  const auto it = gapStarts_.lower_bound(from);
-  if (it != gapStarts_.end()) return *it;
   return std::nullopt;
 }
 

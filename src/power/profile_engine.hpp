@@ -17,10 +17,10 @@
 // (level includes the constant background draw), plus
 //   * a multiset of task contribution end times (finish = max, matching
 //     PowerProfileBuilder's span rule, which counts zero-power tasks);
-//   * running integrals: total energy, energy above Pmin (the paper's
-//     Ec_sigma(Pmin)), energy capped at Pmin (the utilization numerator);
+//   * running integrals: energy above Pmin (the paper's Ec_sigma(Pmin))
+//     and energy capped at Pmin (the utilization numerator);
 //   * ordered sets of spike-segment (> Pmax) and gap-segment (< Pmin)
-//     begin times — the first-spike / first-gap cursors;
+//     begin times — the first-spike cursor and the gap list;
 //   * a start-time index of task intervals for activeAt() stabbing queries
 //     (window-bounded by the largest task length seen).
 //
@@ -92,12 +92,6 @@ class ProfileEngine {
   /// Instantaneous power at t; zero outside [0, finish). O(log n).
   [[nodiscard]] Watts valueAt(Time t) const;
 
-  /// Highest instantaneous level (0 for an empty span). O(segments) —
-  /// peak is a reporting quantity, not a scheduler inner-loop one, so it
-  /// is not worth a per-mutation level-count index.
-  [[nodiscard]] Watts peak() const;
-
-  [[nodiscard]] Energy totalEnergy() const { return total_; }
   /// Ec(Pmin) = integral of max(0, P(t) - Pmin) dt. O(1).
   [[nodiscard]] Energy energyAbove() const { return above_; }
   /// Integral of min(P(t), Pmin) dt. O(1).
@@ -108,8 +102,6 @@ class ProfileEngine {
   /// Earliest t >= from with P(t) > Pmax. O(log n).
   [[nodiscard]] std::optional<Time> firstSpike(
       Time from = Time::minusInfinity()) const;
-  /// Earliest t >= from with P(t) < Pmin. O(log n).
-  [[nodiscard]] std::optional<Time> firstGap(Time from = Time::zero()) const;
 
   /// Maximal intervals with P(t) < Pmin, in time order — identical to
   /// PowerProfile::gaps(pmin). O(gap segments * log n).
@@ -223,7 +215,6 @@ class ProfileEngine {
   Time finish_ = Time::zero();
   std::map<Time, Watts> level_;                   // segment begin -> level
   std::multiset<Time> ends_;                      // all contribution ends
-  Energy total_;
   Energy above_;
   Energy capped_;
   std::set<Time> spikeStarts_;                    // segment begins > pmax

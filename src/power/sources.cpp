@@ -4,10 +4,6 @@
 
 namespace paws {
 
-SolarSource::SolarSource(Watts constant) {
-  phases_.push_back(Phase{Time::zero(), constant});
-}
-
 SolarSource::SolarSource(std::vector<Phase> phases)
     : phases_(std::move(phases)) {
   PAWS_CHECK_MSG(!phases_.empty(), "solar source needs at least one phase");

@@ -23,9 +23,6 @@ namespace paws {
 /// to infinity (a mission phase list never "runs out" of definition).
 class SolarSource {
  public:
-  /// Constant solar output.
-  explicit SolarSource(Watts constant);
-
   /// Phased output: `phases[i]` holds from its start time until the next
   /// phase's start; starts must be strictly increasing and begin at 0.
   struct Phase {
@@ -135,29 +132,6 @@ class Battery {
   Energy rateExcess_;
   Energy recovered_;
   std::optional<Time> depletedAt_;
-};
-
-/// A platform power supply: one free source plus one costly source.
-/// Derives the scheduling constraints of Section 3 at any mission time.
-class PowerSupply {
- public:
-  PowerSupply(SolarSource solar, Battery battery)
-      : solar_(std::move(solar)), battery_(std::move(battery)) {}
-
-  /// Hard budget at mission time t: solar level + max battery output.
-  [[nodiscard]] Watts maxPowerAt(Time t) const {
-    return solar_.levelAt(t) + battery_.maxOutput();
-  }
-  /// Soft floor at mission time t: the free (solar) level.
-  [[nodiscard]] Watts minPowerAt(Time t) const { return solar_.levelAt(t); }
-
-  [[nodiscard]] const SolarSource& solar() const { return solar_; }
-  [[nodiscard]] Battery& battery() { return battery_; }
-  [[nodiscard]] const Battery& battery() const { return battery_; }
-
- private:
-  SolarSource solar_;
-  Battery battery_;
 };
 
 }  // namespace paws

@@ -275,10 +275,7 @@ ScheduleResult MinPowerScheduler::improve(const Schedule& valid,
   }
 
   if (options_.obs.metrics != nullptr) {
-    options_.obs.metrics->add("profile.rebuilds", pe.rebuilds());
-    options_.obs.metrics->add("profile.incremental_updates",
-                              pe.incrementalUpdates());
-    options_.obs.metrics->add("profile.restores", pe.restores());
+    pe.exportMetrics(*options_.obs.metrics);
     if (tripped) {
       options_.obs.metrics->add(
           guard.reason() == guard::StopReason::kCancelled

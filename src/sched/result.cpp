@@ -22,16 +22,6 @@ const char* toString(SchedStatus status) {
   return "?";
 }
 
-std::optional<SchedStatus> schedStatusFromString(std::string_view text) {
-  for (const SchedStatus s :
-       {SchedStatus::kOk, SchedStatus::kTimingInfeasible,
-        SchedStatus::kPowerInfeasible, SchedStatus::kBudgetExhausted,
-        SchedStatus::kInvalidInput, SchedStatus::kDeadlineExceeded}) {
-    if (text == toString(s)) return s;
-  }
-  return std::nullopt;
-}
-
 void exportStats(const SchedulerStats& stats, obs::MetricsRegistry& registry) {
   registry.add("search.longest_path_runs", stats.longestPathRuns);
   registry.add("search.backtracks", stats.backtracks);
@@ -40,18 +30,6 @@ void exportStats(const SchedulerStats& stats, obs::MetricsRegistry& registry) {
   registry.add("search.recursions", stats.recursions);
   registry.add("search.scans", stats.scans);
   registry.add("search.improvements", stats.improvements);
-}
-
-SchedulerStats statsFromMetrics(const obs::MetricsRegistry& registry) {
-  SchedulerStats stats;
-  stats.longestPathRuns = registry.counter("search.longest_path_runs");
-  stats.backtracks = registry.counter("search.backtracks");
-  stats.delays = registry.counter("search.delays");
-  stats.locks = registry.counter("search.locks");
-  stats.recursions = registry.counter("search.recursions");
-  stats.scans = registry.counter("search.scans");
-  stats.improvements = registry.counter("search.improvements");
-  return stats;
 }
 
 }  // namespace paws

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "sched/schedule.hpp"
 
@@ -31,9 +30,6 @@ enum class SchedStatus : std::uint8_t {
 
 const char* toString(SchedStatus status);
 
-/// Inverse of toString(SchedStatus); nullopt for unknown text.
-std::optional<SchedStatus> schedStatusFromString(std::string_view text);
-
 /// Search-effort counters, accumulated across recursions.
 struct SchedulerStats {
   std::uint64_t longestPathRuns = 0;
@@ -56,15 +52,12 @@ struct SchedulerStats {
   }
 };
 
-/// SchedulerStats is kept as a thin fixed-field view for API
-/// compatibility; the MetricsRegistry (obs/metrics.hpp) is the superset.
-/// These two functions are the bridge: exportStats publishes the counters
-/// under their stable "search.*" names, statsFromMetrics reconstructs the
-/// struct from a registry. Names: search.longest_path_runs,
-/// search.backtracks, search.delays, search.locks, search.recursions,
-/// search.scans, search.improvements.
+/// SchedulerStats is the schedulers' cheap fixed-field counter set; the
+/// MetricsRegistry (obs/metrics.hpp) is the superset. exportStats
+/// publishes the counters under their stable "search.*" names:
+/// search.longest_path_runs, search.backtracks, search.delays,
+/// search.locks, search.recursions, search.scans, search.improvements.
 void exportStats(const SchedulerStats& stats, obs::MetricsRegistry& registry);
-SchedulerStats statsFromMetrics(const obs::MetricsRegistry& registry);
 
 struct ScheduleResult {
   SchedStatus status = SchedStatus::kTimingInfeasible;

@@ -28,14 +28,6 @@ Interval Schedule::interval(TaskId v) const {
   return Interval(start(v), end(v));
 }
 
-std::vector<TaskId> Schedule::activeAt(Time t) const {
-  std::vector<TaskId> result;
-  for (TaskId v : problem_->taskIds()) {
-    if (isActiveAt(v, t)) result.push_back(v);
-  }
-  return result;
-}
-
 const PowerProfile& Schedule::powerProfile() const {
   if (!profile_) profile_ = profileOf(*problem_, starts_);
   return *profile_;

@@ -32,13 +32,6 @@ class Schedule {
   /// Finish time tau: when all tasks have completed.
   [[nodiscard]] Time finish() const { return finish_; }
 
-  [[nodiscard]] bool isActiveAt(TaskId v, Time t) const {
-    return interval(v).contains(t);
-  }
-
-  /// All real tasks active at time t, in id order.
-  [[nodiscard]] std::vector<TaskId> activeAt(Time t) const;
-
   /// System power profile: background + all task contributions over
   /// [0, finish).
   [[nodiscard]] const PowerProfile& powerProfile() const;

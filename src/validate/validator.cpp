@@ -1,7 +1,6 @@
 #include "validate/validator.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -25,22 +24,6 @@ const char* toString(Violation::Kind kind) {
 
 std::ostream& operator<<(std::ostream& os, const Violation& v) {
   return os << toString(v.kind) << ": " << v.detail;
-}
-
-std::string ValidationReport::summary() const {
-  if (violations.empty()) return "valid";
-  std::map<Violation::Kind, int> counts;
-  for (const Violation& v : violations) ++counts[v.kind];
-  std::ostringstream os;
-  os << violations.size() << " violation"
-     << (violations.size() == 1 ? "" : "s") << ": ";
-  bool first = true;
-  for (const auto& [kind, count] : counts) {
-    if (!first) os << ", ";
-    first = false;
-    os << count << ' ' << toString(kind);
-  }
-  return os.str();
 }
 
 ValidationReport ScheduleValidator::validate(const Schedule& schedule) const {

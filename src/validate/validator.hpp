@@ -53,10 +53,6 @@ struct ValidationReport {
   }
   /// Fully valid (hard constraints only; gaps are allowed).
   [[nodiscard]] bool valid() const { return violations.empty(); }
-
-  /// One-line human summary ("valid", or "3 violations: 2 min-separation,
-  /// 1 power-spike").
-  [[nodiscard]] std::string summary() const;
 };
 
 class ScheduleValidator {

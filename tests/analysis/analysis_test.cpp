@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "model/paper_example.hpp"
 #include "rover/rover_model.hpp"
 #include "sched/min_power_scheduler.hpp"
@@ -12,6 +14,17 @@ namespace paws {
 namespace {
 
 using namespace paws::literals;
+
+/// Largest Pmin the profile sustains over its whole span (rho = 1): its
+/// lowest segment level, or zero for an empty profile.
+Watts lowestLevel(const PowerProfile& profile) {
+  if (profile.empty()) return Watts::zero();
+  Watts floor = Watts::max();
+  for (const PowerSegment& s : profile.segments()) {
+    floor = std::min(floor, s.power);
+  }
+  return floor;
+}
 
 Schedule paperFinalSchedule(const Problem& p) {
   MinPowerScheduler pipeline(p);
@@ -49,19 +62,18 @@ TEST(ScheduleAnalysisTest, EnergyCostCurveIsExactAtBreakpoints) {
   EXPECT_EQ(curve.back().cost, Energy::zero());
   // Every breakpoint agrees with direct evaluation.
   for (const EcBreakpoint& bp : curve) {
-    EXPECT_EQ(bp.cost, ScheduleAnalysis::energyCostAt(s, bp.pmin));
+    EXPECT_EQ(bp.cost, s.powerProfile().energyAbove(bp.pmin));
   }
 }
 
 TEST(ScheduleAnalysisTest, SustainedFloor) {
   const Problem p = makePaperExampleProblem();
   const Schedule s = paperFinalSchedule(p);
-  const Watts floor = ScheduleAnalysis::sustainedFloor(s);
-  EXPECT_DOUBLE_EQ(ScheduleAnalysis::utilizationAt(s, floor), 1.0);
+  const PowerProfile& profile = s.powerProfile();
+  const Watts floor = lowestLevel(profile);
+  EXPECT_DOUBLE_EQ(profile.utilization(floor), 1.0);
   if (floor > Watts::zero()) {
-    EXPECT_LT(ScheduleAnalysis::utilizationAt(
-                  s, floor + Watts::fromMilliwatts(1)),
-              1.0);
+    EXPECT_LT(profile.utilization(floor + Watts::fromMilliwatts(1)), 1.0);
   }
 }
 
@@ -71,66 +83,7 @@ TEST(ScheduleAnalysisTest, WorstCaseRoverSustains9W) {
   const Problem p = rover::makeRoverProblem(rover::RoverCase::kWorst);
   const ScheduleResult r = SerialScheduler(p).schedule();
   ASSERT_TRUE(r.ok());
-  EXPECT_GE(ScheduleAnalysis::sustainedFloor(*r.schedule), 9_W);
-}
-
-TEST(ScheduleLibraryTest, SelectsValidLowestCost) {
-  // Two fixed schedules of one problem: 'parallel' peaks at 10 W and is
-  // fast; 'serial' peaks at 6 W and is free below a 6 W floor.
-  Problem p("lib");
-  const ResourceId r1 = p.addResource("r1");
-  const ResourceId r2 = p.addResource("r2");
-  p.addTask("a", 5_s, 6_W, r1);
-  p.addTask("b", 5_s, 4_W, r2);
-  const Schedule parallel(&p, {Time(0), Time(0), Time(0)});
-  const Schedule serial(&p, {Time(0), Time(0), Time(5)});
-
-  ScheduleLibrary library;
-  library.add("parallel", parallel);
-  library.add("serial", serial);
-  EXPECT_EQ(library.size(), 2u);
-
-  // Tight budget: only the serial schedule fits (peak 6 W vs 10 W).
-  const auto* tight = library.select(8_W, 6_W);
-  ASSERT_NE(tight, nullptr);
-  EXPECT_EQ(tight->label, "serial");
-
-  // Generous budget, floor 6 W: parallel costs 4 W x 5 s = 20 J above the
-  // floor; serial sustains at most 6 W, costing 0 J — cost wins over speed.
-  const auto* generous = library.select(12_W, 6_W);
-  ASSERT_NE(generous, nullptr);
-  EXPECT_EQ(generous->label, "serial");
-
-  // With no floor, both cost 0 J and the faster parallel schedule wins.
-  const auto* nofloor = library.select(12_W, Watts::zero());
-  ASSERT_NE(nofloor, nullptr);
-  EXPECT_EQ(nofloor->label, "parallel");
-}
-
-TEST(ScheduleLibraryTest, NoFitReturnsNull) {
-  const Problem p = rover::makeRoverProblem(rover::RoverCase::kWorst);
-  const ScheduleResult r = SerialScheduler(p).schedule();
-  ASSERT_TRUE(r.ok());
-  ScheduleLibrary library;
-  library.add("only", *r.schedule);
-  EXPECT_EQ(library.select(5_W, 1_W), nullptr);
-}
-
-TEST(ScheduleLibraryTest, TieBreaksOnFinishTime) {
-  // Two zero-cost schedules (Pmin 0): faster one must win.
-  Problem p("tie");
-  const ResourceId r1 = p.addResource("r1");
-  const ResourceId r2 = p.addResource("r2");
-  p.addTask("a", 5_s, 2_W, r1);
-  p.addTask("b", 5_s, 2_W, r2);
-  const Schedule parallel(&p, {Time(0), Time(0), Time(0)});
-  const Schedule serial(&p, {Time(0), Time(0), Time(5)});
-  ScheduleLibrary library;
-  library.add("serial", serial);
-  library.add("parallel", parallel);
-  const auto* pick = library.select(10_W, Watts::zero());
-  ASSERT_NE(pick, nullptr);
-  EXPECT_EQ(pick->label, "parallel");
+  EXPECT_DOUBLE_EQ(r.schedule->powerProfile().utilization(9_W), 1.0);
 }
 
 }  // namespace

@@ -104,7 +104,7 @@ TEST(SolarFaultTest, EmptyPlanIsIdentity) {
 }
 
 TEST(SolarFaultTest, TransientScalesOnlyItsWindow) {
-  const SolarSource base(10_W);
+  const SolarSource base({{Time(0), 10_W}});
   FaultPlan plan;
   plan.faults.push_back(
       FaultPlan::solarTransient(Interval(Time(100), Time(200)), 50));
@@ -116,7 +116,7 @@ TEST(SolarFaultTest, TransientScalesOnlyItsWindow) {
 }
 
 TEST(SolarFaultTest, OverlappingTransientsComposeMultiplicatively) {
-  const SolarSource base(10_W);
+  const SolarSource base({{Time(0), 10_W}});
   FaultPlan plan;
   plan.faults.push_back(
       FaultPlan::solarTransient(Interval(Time(0), Time(100)), 50));

@@ -93,16 +93,6 @@ TEST(ConstraintGraphTest, GenerationStableAcrossAdds) {
   EXPECT_EQ(g.generation(), gen) << "adds must not invalidate distances";
 }
 
-TEST(ConstraintGraphTest, AddVerticesGrowsAndBumpsGeneration) {
-  ConstraintGraph g(2);
-  const auto gen = g.generation();
-  g.addVertices(3);
-  EXPECT_EQ(g.numVertices(), 5u);
-  EXPECT_GT(g.generation(), gen);
-  g.addEdge(TaskId(4), TaskId(0), Duration(2), EdgeKind::kUserMin);
-  EXPECT_EQ(g.outEdges(TaskId(4)).size(), 1u);
-}
-
 TEST(ConstraintGraphTest, RollbackBeyondTrailThrows) {
   ConstraintGraph g(2);
   EXPECT_THROW(g.rollbackTo(7), CheckError);

@@ -46,7 +46,8 @@ TEST_P(BundledExample, ParsesValidatesSchedulesRoundTrips) {
   const ScheduleResult r = scheduler.schedule();
   ASSERT_TRUE(r.ok()) << r.message;
   const ValidationReport report = ScheduleValidator(p).validate(*r.schedule);
-  EXPECT_TRUE(report.valid()) << report.summary();
+  EXPECT_TRUE(report.valid())
+      << ::testing::PrintToString(report.violations);
 
   const io::ParseResult reparsed = io::parseProblem(io::problemToText(p));
   ASSERT_TRUE(reparsed.ok());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "io/writer.hpp"
 #include "model/paper_example.hpp"
 #include "sched/min_power_scheduler.hpp"
@@ -9,12 +11,18 @@ namespace {
 
 using namespace paws::literals;
 
+std::string chromeTrace(const Schedule& schedule) {
+  std::ostringstream os;
+  writeChromeTrace(os, schedule);
+  return os.str();
+}
+
 TEST(ChromeTraceTest, OneEventPerTaskPlusResourceMetadata) {
   const Problem p = makePaperExampleProblem();
   MinPowerScheduler pipeline(p);
   const ScheduleResult r = pipeline.schedule();
   ASSERT_TRUE(r.ok());
-  const std::string json = scheduleToChromeTrace(*r.schedule);
+  const std::string json = chromeTrace(*r.schedule);
 
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_EQ(json.substr(json.size() - 2), "]}");
@@ -39,7 +47,7 @@ TEST(ChromeTraceTest, StartAndDurationMatchTheSchedule) {
   const ResourceId r1 = p.addResource("r1");
   p.addTask("solo", 7_s, 2_W, r1);
   const Schedule s(&p, {Time(0), Time(3)});
-  const std::string json = scheduleToChromeTrace(s);
+  const std::string json = chromeTrace(s);
   EXPECT_NE(json.find("\"ts\":3,\"dur\":7"), std::string::npos);
   EXPECT_NE(json.find("\"energy_mwticks\":14000"), std::string::npos);
 }
@@ -55,7 +63,7 @@ TEST(ChromeTraceTest, GoldenTwoTaskSchedule) {
   const Schedule s(&p, {Time(0), Time(1), Time(6)});
 
   EXPECT_EQ(
-      scheduleToChromeTrace(s),
+      chromeTrace(s),
       "{\"traceEvents\":["
       "{\"name\":\"compute\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
       "\"ts\":1,\"dur\":5,\"args\":{\"power_mw\":3000,"
@@ -73,7 +81,7 @@ TEST(ChromeTraceTest, GoldenTwoTaskSchedule) {
 TEST(ChromeTraceTest, EmptyProblemYieldsEmptyEventArray) {
   Problem p("none");
   const Schedule s(&p, {Time(0)});
-  EXPECT_EQ(scheduleToChromeTrace(s), "{\"traceEvents\":[]}");
+  EXPECT_EQ(chromeTrace(s), "{\"traceEvents\":[]}");
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "io/lexer.hpp"
 #include "io/parser.hpp"
 #include "io/writer.hpp"
@@ -395,8 +397,9 @@ TEST(WriterTest, ScheduleCsv) {
   p.addTask("a", 5_s, 2_W, r1);
   p.addTask("b", 3_s, 4_W, r1);
   const Schedule s(&p, {Time(0), Time(3), Time(0)});
-  const std::string csv = scheduleToCsv(s);
-  EXPECT_EQ(csv,
+  std::ostringstream csv;
+  writeScheduleCsv(csv, s);
+  EXPECT_EQ(csv.str(),
             "task,resource,start,end,power_mw,energy_mwticks\n"
             "b,cpu,0,3,4000,12000\n"
             "a,cpu,3,8,2000,10000\n");

@@ -1,33 +1,13 @@
-// Coverage for the small cross-cutting features: profile CSV export,
-// infeasible-instance injection, validation summaries.
+// Coverage for infeasible-instance injection: the generator's injected
+// contradiction must make the timing scheduler refuse.
 #include <gtest/gtest.h>
 
 #include "gen/random_problem.hpp"
 #include "graph/longest_path.hpp"
-#include "io/writer.hpp"
 #include "sched/timing_scheduler.hpp"
-#include "validate/validator.hpp"
 
 namespace paws {
 namespace {
-
-using namespace paws::literals;
-
-TEST(ProfileCsvTest, SegmentsRowByRow) {
-  PowerProfileBuilder b;
-  b.add(Interval(Time(0), Time(5)), 4_W);
-  b.add(Interval(Time(5), Time(8)), 6_W);
-  const std::string csv = io::profileToCsv(b.build(1_W));
-  EXPECT_EQ(csv,
-            "begin,end,power_mw\n"
-            "0,5,5000\n"
-            "5,8,7000\n");
-}
-
-TEST(ProfileCsvTest, EmptyProfileHasHeaderOnly) {
-  const PowerProfile empty;
-  EXPECT_EQ(io::profileToCsv(empty), "begin,end,power_mw\n");
-}
 
 class InjectedContradiction
     : public ::testing::TestWithParam<std::uint32_t> {};
@@ -54,31 +34,6 @@ TEST_P(InjectedContradiction, TimingSchedulerAlwaysRefuses) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InjectedContradiction,
                          ::testing::Range(1u, 13u));
-
-TEST(ValidationSummaryTest, Valid) {
-  ValidationReport report;
-  EXPECT_EQ(report.summary(), "valid");
-}
-
-TEST(ValidationSummaryTest, CountsByKind) {
-  ValidationReport report;
-  report.violations.push_back(
-      Violation{Violation::Kind::kMinSeparation, "x"});
-  report.violations.push_back(
-      Violation{Violation::Kind::kMinSeparation, "y"});
-  report.violations.push_back(Violation{Violation::Kind::kPowerSpike, "z"});
-  const std::string s = report.summary();
-  EXPECT_NE(s.find("3 violations"), std::string::npos);
-  EXPECT_NE(s.find("2 min-separation"), std::string::npos);
-  EXPECT_NE(s.find("1 power-spike"), std::string::npos);
-}
-
-TEST(ValidationSummaryTest, SingularForm) {
-  ValidationReport report;
-  report.violations.push_back(
-      Violation{Violation::Kind::kResourceOverlap, "x"});
-  EXPECT_NE(report.summary().find("1 violation:"), std::string::npos);
-}
 
 }  // namespace
 }  // namespace paws

@@ -68,7 +68,7 @@ TEST(ProblemTest, RejectsUnknownResource) {
 TEST(ProblemTest, TaskEnergy) {
   Problem p = twoTaskProblem();
   EXPECT_EQ(p.task(TaskId(1)).energy(), 2_W * 5_s);
-  EXPECT_EQ(p.totalTaskEnergy(), 2_W * 5_s + 4_W * 3_s);
+  EXPECT_EQ(p.task(TaskId(2)).energy(), 4_W * 3_s);
 }
 
 TEST(ProblemTest, ConstraintSugarExpandsToSeparations) {

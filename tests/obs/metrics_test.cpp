@@ -91,7 +91,6 @@ TEST(MetricsRegistryTest, CsvIsSortedWithHeaderAndOneRowPerMetric) {
   ASSERT_NE(hi, std::string::npos);
   EXPECT_LT(ga, co);
   EXPECT_LT(co, hi);
-  EXPECT_EQ(m.toCsv(), csv);
 }
 
 TEST(MetricsRegistryTest, MergingAnEmptyHistogramKeepsMinMax) {
@@ -195,16 +194,6 @@ TEST(MetricsRegistryTest, SetHistogramInstallsACompleteSummary) {
   m.setHistogram("imported", other);
   EXPECT_EQ(m.histogram("imported").count, 1u);
   EXPECT_DOUBLE_EQ(m.histogram("imported").max, 100.0);
-}
-
-TEST(MetricsRegistryTest, ClearEmptiesEverything) {
-  MetricsRegistry m;
-  m.add("c");
-  m.set("g", 1.0);
-  m.observe("h", 1.0);
-  m.clear();
-  EXPECT_EQ(m.size(), 0u);
-  EXPECT_FALSE(m.has("c"));
 }
 
 TEST(MetricsRegistryTest, RenderTableMentionsEveryMetric) {

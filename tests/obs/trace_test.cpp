@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "obs/context.hpp"
@@ -49,9 +50,6 @@ TEST(TraceSinkTest, InstantStampsMonotonicTimesAndPayload) {
   const TraceEvent& l = sink.events()[1];
   EXPECT_EQ(l.task, 4u);
   EXPECT_GE(l.tsNs, d.tsNs);
-
-  sink.clear();
-  EXPECT_TRUE(sink.empty());
 }
 
 TEST(TraceSinkTest, SpanRecordsDurationVerbatim) {
@@ -76,14 +74,6 @@ TEST(TraceSinkTest, CapDropsAndCountsInsteadOfGrowing) {
   EXPECT_EQ(sink.droppedEvents(), 2u);
   EXPECT_EQ(sink.events()[1].task, 2u);  // the first two survived verbatim
 
-  // Raising the cap admits new events again; clear() resets the counter.
-  sink.setMaxEvents(3);
-  sink.instant(TraceEventKind::kCandidate, 4);
-  EXPECT_EQ(sink.size(), 3u);
-  EXPECT_EQ(sink.droppedEvents(), 2u);
-  sink.clear();
-  EXPECT_EQ(sink.droppedEvents(), 0u);
-
   // The dropped line surfaces in the summary only when events were lost.
   TraceSink tiny(1);
   tiny.instant(TraceEventKind::kDelay);
@@ -91,7 +81,9 @@ TEST(TraceSinkTest, CapDropsAndCountsInsteadOfGrowing) {
   MetricsRegistry metrics;
   const std::string summary = renderObsSummary(metrics, &tiny);
   EXPECT_NE(summary.find("dropped (cap 1 events): 1"), std::string::npos);
-  EXPECT_EQ(renderObsSummary(metrics, &sink).find("dropped"),
+  TraceSink roomy(2);
+  roomy.instant(TraceEventKind::kDelay);
+  EXPECT_EQ(renderObsSummary(metrics, &roomy).find("dropped"),
             std::string::npos);
 }
 
@@ -166,7 +158,9 @@ TEST(SearchTraceJsonTest, SpansInstantsAndRowMetadata) {
   TraceSink sink;
   sink.span(TraceEventKind::kPhase, 1500, 2500, "timing");
   sink.instant(TraceEventKind::kDelay, 2, 10, 4, 1);
-  const std::string json = searchTraceToJson(sink);
+  std::ostringstream os;
+  writeSearchTraceJson(os, sink);
+  const std::string json = os.str();
 
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_EQ(json.substr(json.size() - 2), "]}");
@@ -191,7 +185,9 @@ TEST(SearchTraceJsonlTest, OneObjectPerLineInRecordingOrder) {
   TraceSink sink;
   sink.instant(TraceEventKind::kCandidate, 1, 0, 0, 2);
   sink.span(TraceEventKind::kLongestPath, 10, 20, "incremental", 0, 9);
-  const std::string jsonl = searchTraceToJsonl(sink);
+  std::ostringstream os;
+  writeSearchTraceJsonl(os, sink);
+  const std::string jsonl = os.str();
 
   const auto newline = jsonl.find('\n');
   ASSERT_NE(newline, std::string::npos);

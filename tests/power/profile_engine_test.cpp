@@ -14,12 +14,9 @@ Watts mw(std::int64_t milliwatts) { return Watts::fromMilliwatts(milliwatts); }
 TEST(ProfileEngineTest, EmptyEngineMatchesEmptyProfile) {
   ProfileEngine engine(mw(500), mw(2000), mw(8000));
   EXPECT_EQ(engine.finish(), Time::zero());
-  EXPECT_EQ(engine.peak(), Watts::zero());
-  EXPECT_EQ(engine.totalEnergy(), Energy());
   EXPECT_EQ(engine.energyAbove(), Energy());
   EXPECT_EQ(engine.utilization(), 1.0);
   EXPECT_FALSE(engine.firstSpike().has_value());
-  EXPECT_FALSE(engine.firstGap().has_value());
   EXPECT_TRUE(engine.gaps().empty());
   EXPECT_TRUE(engine.activeAt(Time(0)).empty());
   EXPECT_TRUE(engine.snapshot().empty());
@@ -30,7 +27,7 @@ TEST(ProfileEngineTest, AddRemoveRoundTripsToEmpty) {
   engine.addTask(TaskId(1), Interval(Time(2), Time(6)), mw(3000));
   engine.addTask(TaskId(2), Interval(Time(4), Time(9)), mw(2500));
   EXPECT_EQ(engine.finish(), Time(9));
-  EXPECT_EQ(engine.peak(), mw(5500));
+  EXPECT_EQ(engine.snapshot().peak(), mw(5500));
   EXPECT_EQ(engine.valueAt(Time(5)), mw(5500));
   EXPECT_EQ(engine.valueAt(Time(1)), mw(0));
   ASSERT_TRUE(engine.firstSpike().has_value());
@@ -39,7 +36,8 @@ TEST(ProfileEngineTest, AddRemoveRoundTripsToEmpty) {
   engine.removeTask(TaskId(2));
   engine.removeTask(TaskId(1));
   EXPECT_EQ(engine.finish(), Time::zero());
-  EXPECT_EQ(engine.totalEnergy(), Energy());
+  EXPECT_EQ(engine.energyAbove(), Energy());
+  EXPECT_EQ(engine.energyCapped(), Energy());
   EXPECT_TRUE(engine.snapshot().empty());
 }
 
@@ -52,7 +50,7 @@ TEST(ProfileEngineTest, ZeroPowerAndEmptyTasksExtendSpan) {
   EXPECT_EQ(engine.valueAt(Time(1)), mw(100));  // background only
   engine.addTask(TaskId(2), Interval(Time(0), Time(7)), mw(0));  // zero power
   EXPECT_EQ(engine.finish(), Time(7));
-  EXPECT_EQ(engine.peak(), mw(100));
+  EXPECT_EQ(engine.snapshot().peak(), mw(100));
   // Zero-power tasks are still active for the interval index.
   EXPECT_EQ(engine.activeAt(Time(2)), std::vector<TaskId>{TaskId(2)});
   // Removing the long zero task shrinks the span back.
@@ -84,10 +82,6 @@ TEST(ProfileEngineTest, GapsMergeContiguousSegments) {
   const auto gaps = engine.gaps();
   ASSERT_EQ(gaps.size(), 1u);
   EXPECT_EQ(gaps.front(), Interval(Time(2), Time(4)));
-  ASSERT_TRUE(engine.firstGap().has_value());
-  EXPECT_EQ(*engine.firstGap(), Time(2));
-  EXPECT_EQ(*engine.firstGap(Time(3)), Time(3));  // inside the gap
-  EXPECT_FALSE(engine.firstGap(Time(4)).has_value());
 }
 
 TEST(ProfileEngineTest, ClearEmptiesWithoutCountingARebuild) {

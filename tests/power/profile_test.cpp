@@ -125,16 +125,9 @@ TEST(PowerProfileTest, FirstSpikeAndFirstGap) {
   ASSERT_TRUE(p.firstSpike(8_W).has_value());
   EXPECT_EQ(*p.firstSpike(8_W), Time(5));
   EXPECT_FALSE(p.firstSpike(12_W).has_value());
-  ASSERT_TRUE(p.firstGap(8_W).has_value());
-  EXPECT_EQ(*p.firstGap(8_W), Time(0));
-  EXPECT_EQ(*p.firstGap(8_W, Time(3)), Time(3));
-  EXPECT_EQ(*p.firstGap(8_W, Time(7)), Time(10));
-}
-
-TEST(PowerProfileTest, MaxStep) {
-  const PowerProfile p = rectangles();
-  // Steps: 0->5, 5->10, 10->5, 5->0: largest is 5W.
-  EXPECT_EQ(p.maxStep(), 5_W);
+  // The first gap opens where the gap list starts.
+  ASSERT_FALSE(p.gaps(8_W).empty());
+  EXPECT_EQ(p.gaps(8_W).front().begin(), Time(0));
 }
 
 TEST(PowerProfileTest, ZeroPowerContributionOnlyExtendsSpan) {

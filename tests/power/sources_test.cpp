@@ -17,7 +17,7 @@ SolarSource missionSolar() {
 }
 
 TEST(SolarSourceTest, ConstantLevel) {
-  const SolarSource s(12_W);
+  const SolarSource s({{Time(0), 12_W}});
   EXPECT_EQ(s.levelAt(Time(0)), 12_W);
   EXPECT_EQ(s.levelAt(Time(100000)), 12_W);
   EXPECT_FALSE(s.nextChangeAfter(Time(0)).has_value());
@@ -49,7 +49,7 @@ TEST(SolarSourceTest, RejectsBadPhaseLists) {
 }
 
 TEST(SolarSourceTest, RejectsNegativeTime) {
-  const SolarSource s(10_W);
+  const SolarSource s({{Time(0), 10_W}});
   EXPECT_THROW(s.levelAt(Time(-1)), CheckError);
 }
 
@@ -189,15 +189,6 @@ TEST(BatteryTest, RejectsMalformedTraits) {
   BatteryTraits fraction = twoBandTraits();
   fraction.recoverablePermille = 1001;
   EXPECT_THROW(Battery(10_W, 100_J, fraction), CheckError);
-}
-
-TEST(PowerSupplyTest, DerivesPaperConstraints) {
-  // Section 3: Pmax = solar + 10W battery, Pmin = solar.
-  PowerSupply supply(missionSolar(), Battery(10_W, 999999_J));
-  EXPECT_EQ(supply.maxPowerAt(Time(0)), Watts::fromWatts(24.9));
-  EXPECT_EQ(supply.minPowerAt(Time(0)), Watts::fromWatts(14.9));
-  EXPECT_EQ(supply.maxPowerAt(Time(700)), 22_W);
-  EXPECT_EQ(supply.minPowerAt(Time(1300)), 9_W);
 }
 
 }  // namespace

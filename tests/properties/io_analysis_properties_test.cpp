@@ -2,6 +2,8 @@
 // over seeded random instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/analysis.hpp"
 #include "analysis/battery_stress.hpp"
 #include "gen/random_problem.hpp"
@@ -102,7 +104,7 @@ TEST_P(SeededIoAnalysis, EcCurveIsConvexDecreasingAndExact) {
     // integral of max(0, P - x)).
     const Watts mid = Watts::fromMilliwatts(
         (curve[i - 1].pmin.milliwatts() + curve[i].pmin.milliwatts()) / 2);
-    const Energy at = ScheduleAnalysis::energyCostAt(witness, mid);
+    const Energy at = witness.powerProfile().energyAbove(mid);
     EXPECT_LE(at, curve[i - 1].cost);
     EXPECT_GE(at, curve[i].cost);
   }
@@ -144,8 +146,13 @@ TEST_P(SeededIoAnalysis, ListSchedulerNeverExceedsTheBudget) {
 TEST_P(SeededIoAnalysis, SustainedFloorIsTightOnTheWitness) {
   const GeneratedProblem gp = generate();
   const Schedule witness(&gp.problem, gp.witnessStarts);
-  const Watts floor = ScheduleAnalysis::sustainedFloor(witness);
-  EXPECT_DOUBLE_EQ(ScheduleAnalysis::utilizationAt(witness, floor), 1.0);
+  const PowerProfile& profile = witness.powerProfile();
+  // The lowest segment level is sustained over the whole span.
+  Watts floor = profile.empty() ? Watts::zero() : Watts::max();
+  for (const PowerSegment& s : profile.segments()) {
+    floor = std::min(floor, s.power);
+  }
+  EXPECT_DOUBLE_EQ(profile.utilization(floor), 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededIoAnalysis, ::testing::Range(1u, 25u));

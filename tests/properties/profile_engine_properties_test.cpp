@@ -3,8 +3,8 @@
 // {addTask, removeTask, moveTask, checkpoint, restore, release} must leave
 // the engine byte-identical to a PowerProfileBuilder full rebuild over the
 // same live contributions — the merged segment list AND every cached
-// aggregate (finish, peak, total energy, Ec(Pmin), capped energy,
-// utilization, first-spike/first-gap cursors, gap list, active-task index).
+// aggregate (finish, Ec(Pmin), capped energy, utilization, first-spike
+// cursor, gap list, active-task index).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -51,8 +51,6 @@ void expectMatchesRebuild(const Model& model, const ProfileEngine& engine,
   const PowerProfile full = model.rebuild();
 
   ASSERT_EQ(engine.finish(), full.finish());
-  ASSERT_EQ(engine.peak(), full.peak());
-  ASSERT_EQ(engine.totalEnergy(), full.totalEnergy());
   ASSERT_EQ(engine.energyAbove(), full.energyAbove(model.pmin));
   ASSERT_EQ(engine.energyCapped(), full.energyCappedAt(model.pmin));
   ASSERT_EQ(engine.utilization(), full.utilization(model.pmin));
@@ -67,7 +65,7 @@ void expectMatchesRebuild(const Model& model, const ProfileEngine& engine,
         << "segment " << i;
   }
 
-  // Spike / gap cursors, probed from several origins.
+  // Spike cursor, probed from several origins, and the gap list.
   const std::vector<Time> froms = {
       Time::minusInfinity(), Time(0), Time(1),
       Time(static_cast<std::int64_t>(nextRand(rng) % 40)),
@@ -76,8 +74,6 @@ void expectMatchesRebuild(const Model& model, const ProfileEngine& engine,
   for (const Time from : froms) {
     ASSERT_EQ(engine.firstSpike(from), full.firstSpike(model.pmax, from))
         << "firstSpike from " << from.ticks();
-    ASSERT_EQ(engine.firstGap(from), full.firstGap(model.pmin, from))
-        << "firstGap from " << from.ticks();
   }
   ASSERT_EQ(engine.gaps(), full.gaps(model.pmin));
 

@@ -48,13 +48,13 @@ TEST(MissionEdgeTest, IterationStraddlingASwitchKeepsItsStartPhasePlan) {
 }
 
 TEST(MissionEdgeTest, OddTargetRoundsUpToWholeIterations) {
-  MissionSimulator sim(SolarSource(9_W), missionBattery());
+  MissionSimulator sim(SolarSource({{Time(0), 9_W}}), missionBattery());
   const MissionResult r = sim.run(flatPolicy(Duration(75), 10_J), 5);
   EXPECT_EQ(r.steps, 6) << "three 2-step iterations cover a 5-step target";
 }
 
 TEST(MissionEdgeTest, ZeroCostPlansNeverDepleteTheBattery) {
-  MissionSimulator sim(SolarSource(Watts::fromWatts(14.9)),
+  MissionSimulator sim(SolarSource({{Time(0), Watts::fromWatts(14.9)}}),
                        Battery(10_W, 1_J));
   const MissionResult r =
       sim.run(flatPolicy(Duration(50), Energy::zero()), 48);

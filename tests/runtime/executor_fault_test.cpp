@@ -259,7 +259,7 @@ TEST_F(DegradedRover, AbortOnBrownoutAtIterationStartStallsExplicitly) {
   // abortOnBrownout every iteration would abort at its first instant and
   // replay forever. The stall guard must end the mission at t=0 with an
   // explicit event instead of spinning to maxIterations.
-  RuntimeExecutor executor(SolarSource(Watts::zero()), Battery(1_W, 100_J),
+  RuntimeExecutor executor(SolarSource({{Time(0), Watts::zero()}}), Battery(1_W, 100_J),
                            roverBindings());
   ExecutorConfig config;
   config.targetSteps = 4;
@@ -306,7 +306,7 @@ TEST(ExecutorEdgeTest, ExactCapacityFinishesWithoutDepletion) {
   // Solar 0: the 3 W task draws 3 mW-ticks/tick * 10 ticks = 30 W-ticks.
   const Energy exact = 3_W * Duration(10);
   RuntimeExecutor executor(
-      SolarSource(Watts::zero()), Battery(5_W, exact),
+      SolarSource({{Time(0), Watts::zero()}}), Battery(5_W, exact),
       {CaseBinding{"only", Watts::zero(), &p, *sr.schedule, 1}});
   ExecutorConfig config;
   config.targetSteps = 1;
@@ -329,7 +329,7 @@ TEST(ExecutorEdgeTest, DepletionTimeFloorsTheAffordableTicks) {
   // 10 W-ticks at 3 W: affordable = floor(10/3) = 3 ticks, 9 W-ticks drawn.
   const Energy capacity = Energy::fromMilliwattTicks(10 * 1000);
   RuntimeExecutor executor(
-      SolarSource(Watts::zero()), Battery(5_W, capacity),
+      SolarSource({{Time(0), Watts::zero()}}), Battery(5_W, capacity),
       {CaseBinding{"only", Watts::zero(), &p, *sr.schedule, 1}});
   ExecutorConfig config;
   config.targetSteps = 1;

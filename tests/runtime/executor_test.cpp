@@ -84,7 +84,7 @@ TEST_F(RoverExecution, SelectsScheduleByCurrentSolarLevel) {
 }
 
 TEST_F(RoverExecution, TaskTraceIsOrderedAndPaired) {
-  RuntimeExecutor executor(SolarSource(Watts::fromWatts(14.9)),
+  RuntimeExecutor executor(SolarSource({{Time(0), Watts::fromWatts(14.9)}}),
                            rover::missionBattery(), roverBindings());
   ExecutorConfig config;
   config.targetSteps = 2;  // one iteration
@@ -129,7 +129,7 @@ TEST_F(RoverExecution, AbortOnBrownoutStopsTheIteration) {
 }
 
 TEST_F(RoverExecution, BatteryDepletionEndsTheMissionMidIteration) {
-  RuntimeExecutor executor(SolarSource(9_W), Battery(10_W, 100_J),
+  RuntimeExecutor executor(SolarSource({{Time(0), 9_W}}), Battery(10_W, 100_J),
                            roverBindings());
   ExecutorConfig config;
   config.targetSteps = 48;
@@ -161,7 +161,7 @@ TEST_F(RoverExecution, NoBindingForDarknessFailsCleanly) {
 TEST_F(RoverExecution, EnergyAccountingMatchesPlanLevelSimulator) {
   // Constant 9 W solar: the runtime integration must agree exactly with
   // the per-iteration plan accounting (cost = Ec per iteration).
-  RuntimeExecutor executor(SolarSource(9_W), rover::missionBattery(),
+  RuntimeExecutor executor(SolarSource({{Time(0), 9_W}}), rover::missionBattery(),
                            roverBindings());
   ExecutorConfig config;
   config.targetSteps = 8;  // four worst-case iterations
@@ -174,7 +174,7 @@ TEST_F(RoverExecution, EnergyAccountingMatchesPlanLevelSimulator) {
 }
 
 TEST(RuntimeExecutorTest, RejectsEmptyBindings) {
-  EXPECT_THROW(RuntimeExecutor(SolarSource(9_W), Battery(10_W, 100_J), {}),
+  EXPECT_THROW(RuntimeExecutor(SolarSource({{Time(0), 9_W}}), Battery(10_W, 100_J), {}),
                CheckError);
 }
 

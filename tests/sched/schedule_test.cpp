@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "base/check.hpp"
+#include "power/profile_engine.hpp"
 
 namespace paws {
 namespace {
@@ -35,13 +36,17 @@ TEST(ScheduleTest, RejectsWrongSizeOrShiftedAnchor) {
 }
 
 TEST(ScheduleTest, ActiveAt) {
+  // The tasks of a schedule running at t, asked the way max-power's victim
+  // scan asks: through a profile engine seeded with the schedule's starts.
   const Problem p = makeProblem();
   const Schedule s(&p, {Time(0), Time(0), Time(3)});
-  EXPECT_EQ(s.activeAt(Time(0)), std::vector<TaskId>{TaskId(1)});
+  power::ProfileEngine pe(p.backgroundPower(), p.minPower(), p.maxPower());
+  pe.rebuild(p, s.starts());
+  EXPECT_EQ(pe.activeAt(Time(0)), std::vector<TaskId>{TaskId(1)});
   const std::vector<TaskId> both{TaskId(1), TaskId(2)};
-  EXPECT_EQ(s.activeAt(Time(4)), both);
-  EXPECT_EQ(s.activeAt(Time(5)), std::vector<TaskId>{TaskId(2)});
-  EXPECT_TRUE(s.activeAt(Time(13)).empty());
+  EXPECT_EQ(pe.activeAt(Time(4)), both);
+  EXPECT_EQ(pe.activeAt(Time(5)), std::vector<TaskId>{TaskId(2)});
+  EXPECT_TRUE(pe.activeAt(Time(13)).empty());
 }
 
 TEST(ScheduleTest, ProfileIncludesBackground) {
