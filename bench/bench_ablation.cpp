@@ -25,6 +25,7 @@
 #include "sched/list_scheduler.hpp"
 #include "sched/max_power_scheduler.hpp"
 #include "sched/min_power_scheduler.hpp"
+#include "sched/power_aware_scheduler.hpp"
 #include "validate/validator.hpp"
 
 using namespace paws;
@@ -40,6 +41,13 @@ GeneratorConfig ablationConfig(std::uint32_t seed) {
   cfg.numResources = 5;
   cfg.pmaxHeadroomMw = 500;
   return cfg;
+}
+
+/// The paper's pipeline, one trial: the seeds and heuristics in `opt`
+/// exactly as given.
+ScheduleResult runPipeline(const Problem& p, PowerAwareOptions opt = {}) {
+  opt.trials = 1;
+  return PowerAwareScheduler(p, opt).schedule();
 }
 
 struct Aggregate {
@@ -73,11 +81,10 @@ void ablateVictimOrder() {
     Aggregate agg;
     for (std::uint32_t seed = 1; seed <= kSeeds; ++seed) {
       const GeneratedProblem gp = generateRandomProblem(ablationConfig(seed));
-      MinPowerOptions opt;
+      PowerAwareOptions opt;
       opt.maxPower.victimOrder = order;
       opt.maxPower.randomSeed = seed;
-      MinPowerScheduler pipeline(gp.problem, opt);
-      const ScheduleResult r = pipeline.schedule();
+      const ScheduleResult r = runPipeline(gp.problem, opt);
       if (r.ok() &&
           ScheduleValidator(gp.problem).validate(*r.schedule).valid()) {
         agg.add(gp.problem, *r.schedule);
@@ -115,14 +122,13 @@ void ablateMinPowerHeuristics() {
     Aggregate agg;
     for (std::uint32_t seed = 1; seed <= kSeeds; ++seed) {
       const GeneratedProblem gp = generateRandomProblem(ablationConfig(seed));
-      MinPowerOptions opt;
-      opt.scanOrder = v.scan;
-      opt.slotHeuristic = v.slot;
-      opt.rotateHeuristics = v.rotate;
-      opt.maxPasses = v.passes;
-      opt.randomSeed = seed;
-      MinPowerScheduler pipeline(gp.problem, opt);
-      const ScheduleResult r = pipeline.schedule();
+      PowerAwareOptions opt;
+      opt.minPower.scanOrder = v.scan;
+      opt.minPower.slotHeuristic = v.slot;
+      opt.minPower.rotateHeuristics = v.rotate;
+      opt.minPower.maxPasses = v.passes;
+      opt.minPower.randomSeed = seed;
+      const ScheduleResult r = runPipeline(gp.problem, opt);
       if (r.ok() &&
           ScheduleValidator(gp.problem).validate(*r.schedule).valid()) {
         agg.add(gp.problem, *r.schedule);
@@ -141,8 +147,7 @@ void ablateAgainstListScheduler() {
   Aggregate pipelineAgg, listAgg;
   for (std::uint32_t seed = 1; seed <= kSeeds; ++seed) {
     const GeneratedProblem gp = generateRandomProblem(ablationConfig(seed));
-    MinPowerScheduler pipeline(gp.problem);
-    const ScheduleResult rp = pipeline.schedule();
+    const ScheduleResult rp = runPipeline(gp.problem);
     if (rp.ok() &&
         ScheduleValidator(gp.problem).validate(*rp.schedule).valid()) {
       pipelineAgg.add(gp.problem, *rp.schedule);
@@ -178,11 +183,10 @@ void ablateCandidateOrder() {
     double sumTau = 0, sumBacktracks = 0;
     for (std::uint32_t seed = 1; seed <= kSeeds; ++seed) {
       const GeneratedProblem gp = generateRandomProblem(ablationConfig(seed));
-      MinPowerOptions opt;
+      PowerAwareOptions opt;
       opt.maxPower.timing.candidateOrder = v.order;
       opt.maxPower.timing.randomSeed = seed;
-      MinPowerScheduler pipeline(gp.problem, opt);
-      const ScheduleResult r = pipeline.schedule();
+      const ScheduleResult r = runPipeline(gp.problem, opt);
       if (!r.ok()) continue;
       ++solved;
       sumTau += static_cast<double>(r.schedule->finish().ticks());
@@ -215,22 +219,23 @@ void ablateJitterControl() {
 
   {
     const Problem p = makePaperExampleProblem();
-    MaxPowerScheduler maxOnly(p);
-    const ScheduleResult before = maxOnly.schedule();
-    MinPowerScheduler pipeline(p);
-    const ScheduleResult after = pipeline.schedule();
-    if (before.ok()) report("paper example / max-only", p, *before.schedule);
-    if (after.ok()) report("paper example / +min-power", p, *after.schedule);
+    const ScheduleResult before = MaxPowerScheduler(p).schedule();
+    if (before.ok()) {
+      const ScheduleResult after = MinPowerScheduler(p).improve(
+          *before.schedule, before.stats);
+      report("paper example / max-only", p, *before.schedule);
+      if (after.ok()) report("paper example / +min-power", p, *after.schedule);
+    }
   }
   for (std::uint32_t seed : {3u, 7u}) {
     const GeneratedProblem gp = generateRandomProblem(ablationConfig(seed));
-    MaxPowerScheduler maxOnly(gp.problem);
-    const ScheduleResult before = maxOnly.schedule();
-    MinPowerScheduler pipeline(gp.problem);
-    const ScheduleResult after = pipeline.schedule();
+    const ScheduleResult before = MaxPowerScheduler(gp.problem).schedule();
+    if (!before.ok()) continue;
+    const ScheduleResult after = MinPowerScheduler(gp.problem).improve(
+        *before.schedule, before.stats);
     char label[64];
     std::snprintf(label, sizeof label, "random seed %u / max-only", seed);
-    if (before.ok()) report(label, gp.problem, *before.schedule);
+    report(label, gp.problem, *before.schedule);
     std::snprintf(label, sizeof label, "random seed %u / +min-power", seed);
     if (after.ok()) report(label, gp.problem, *after.schedule);
   }
@@ -244,10 +249,16 @@ void printPhaseTimings() {
   obs::MetricsRegistry metrics;
   for (std::uint32_t seed = 1; seed <= kSeeds; ++seed) {
     const GeneratedProblem gp = generateRandomProblem(ablationConfig(seed));
-    MinPowerOptions opt;
-    opt.obs.metrics = &metrics;
-    MinPowerScheduler pipeline(gp.problem, opt);
-    (void)pipeline.schedule();
+    // The two stages run directly, so the table holds only the stages'
+    // own metrics (the pipeline would add its search.* totals).
+    MaxPowerOptions maxOpt;
+    maxOpt.obs.metrics = &metrics;
+    const ScheduleResult valid =
+        MaxPowerScheduler(gp.problem, maxOpt).schedule();
+    if (!valid.ok()) continue;
+    MinPowerOptions minOpt;
+    minOpt.obs.metrics = &metrics;
+    (void)MinPowerScheduler(gp.problem, minOpt).improve(*valid.schedule);
   }
   std::printf("%s\n", metrics.renderTable().c_str());
 }
@@ -255,19 +266,17 @@ void printPhaseTimings() {
 void BM_PipelineSlackVictims(benchmark::State& state) {
   const GeneratedProblem gp = generateRandomProblem(ablationConfig(5));
   for (auto _ : state) {
-    MinPowerScheduler pipeline(gp.problem);
-    benchmark::DoNotOptimize(pipeline.schedule());
+    benchmark::DoNotOptimize(runPipeline(gp.problem));
   }
 }
 BENCHMARK(BM_PipelineSlackVictims)->Unit(benchmark::kMillisecond);
 
 void BM_PipelineRandomVictims(benchmark::State& state) {
   const GeneratedProblem gp = generateRandomProblem(ablationConfig(5));
-  MinPowerOptions opt;
+  PowerAwareOptions opt;
   opt.maxPower.victimOrder = VictimOrder::kRandom;
   for (auto _ : state) {
-    MinPowerScheduler pipeline(gp.problem, opt);
-    benchmark::DoNotOptimize(pipeline.schedule());
+    benchmark::DoNotOptimize(runPipeline(gp.problem, opt));
   }
 }
 BENCHMARK(BM_PipelineRandomVictims)->Unit(benchmark::kMillisecond);

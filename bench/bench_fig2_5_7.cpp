@@ -21,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "sched/max_power_scheduler.hpp"
 #include "sched/min_power_scheduler.hpp"
+#include "sched/power_aware_scheduler.hpp"
 #include "sched/timing_scheduler.hpp"
 
 using namespace paws;
@@ -135,9 +136,10 @@ BENCHMARK(BM_MaxPowerStage);
 
 void BM_FullPipeline(benchmark::State& state) {
   const Problem p = makePaperExampleProblem();
+  PowerAwareOptions options;
+  options.trials = 1;
   for (auto _ : state) {
-    MinPowerScheduler scheduler(p);
-    benchmark::DoNotOptimize(scheduler.schedule());
+    benchmark::DoNotOptimize(PowerAwareScheduler(p, options).schedule());
   }
 }
 BENCHMARK(BM_FullPipeline);

@@ -14,7 +14,7 @@
 #include "exec/pool.hpp"
 #include "gen/random_problem.hpp"
 #include "graph/longest_path.hpp"
-#include "sched/min_power_scheduler.hpp"
+#include "sched/power_aware_scheduler.hpp"
 #include "sched/timing_scheduler.hpp"
 #include "validate/validator.hpp"
 
@@ -57,8 +57,10 @@ void printQualitySummary() {
           SchedulerStats stats;
           v.timingOk = ts.run(g, engine, stats).ok;
 
-          MinPowerScheduler pipeline(gp.problem);
-          const ScheduleResult r = pipeline.schedule();
+          PowerAwareOptions options;
+          options.trials = 1;
+          const ScheduleResult r =
+              PowerAwareScheduler(gp.problem, options).schedule();
           if (r.ok()) {
             v.pipelineOk = true;
             v.valid =
@@ -143,10 +145,12 @@ BENCHMARK(BM_TimingSearchBacktrackHeavy)
 void BM_FullPipeline(benchmark::State& state) {
   const GeneratedProblem gp = generateRandomProblem(
       configFor(static_cast<std::size_t>(state.range(0)), 7));
+  PowerAwareOptions options;
+  options.trials = 1;
   std::uint64_t lpRuns = 0;
   for (auto _ : state) {
-    MinPowerScheduler pipeline(gp.problem);
-    const ScheduleResult r = pipeline.schedule();
+    const ScheduleResult r =
+        PowerAwareScheduler(gp.problem, options).schedule();
     lpRuns += r.stats.longestPathRuns;
     benchmark::DoNotOptimize(r.status);
   }

@@ -10,7 +10,6 @@
 #include "sched/min_power_scheduler.hpp"
 #include "sched/polish.hpp"
 #include "sched/power_aware_scheduler.hpp"
-#include "sched/repair.hpp"
 #include "sched/serial_scheduler.hpp"
 #include "validate/validator.hpp"
 
@@ -42,28 +41,22 @@ bool lexBetter(const Schedule& a, const Schedule& b) {
 }
 
 /// Binds a cached entry's starts onto `problem`, whose canonical form is
-/// `canonical`: index i is the task canonical.taskOrder[i]. An entry found
-/// by exact or structural hash has the same task order, so a length
-/// mismatch only a corrupt entry can produce reads as nothing usable.
-std::optional<Schedule> bind(const CacheEntry& entry, const Problem& problem,
-                             const CanonicalForm& canonical) {
+/// `canonical`: index i is the task canonical.taskOrder[i], then re-checks
+/// the schedule with the independent validator. An entry found by exact or
+/// structural hash has the same task order, so a length mismatch (only a
+/// corrupt entry produces one), the astronomically unlikely 64-bit hash
+/// collision and a near miss whose new limits broke the plan all read as
+/// "nothing usable", never as a wrong answer.
+std::optional<Schedule> rebind(const CacheEntry& entry,
+                               const Problem& problem,
+                               const CanonicalForm& canonical) {
   if (entry.starts.size() != canonical.taskOrder.size()) return std::nullopt;
   std::vector<Time> starts(problem.numVertices(), Time::zero());
   for (std::size_t i = 0; i < entry.starts.size(); ++i) {
     starts[canonical.taskOrder[i].index()] = Time(entry.starts[i]);
   }
-  return Schedule(&problem, std::move(starts));
-}
-
-/// bind() plus the independent validator: any failure — including the
-/// astronomically unlikely 64-bit hash collision — reads as "nothing
-/// usable", never as a wrong answer.
-std::optional<Schedule> rebind(const CacheEntry& entry,
-                               const Problem& problem,
-                               const CanonicalForm& canonical) {
-  std::optional<Schedule> schedule = bind(entry, problem, canonical);
-  if (schedule.has_value() &&
-      !ScheduleValidator(problem).validate(*schedule).valid()) {
+  Schedule schedule(&problem, std::move(starts));
+  if (!ScheduleValidator(problem).validate(schedule).valid()) {
     return std::nullopt;
   }
   return schedule;
@@ -155,33 +148,17 @@ ScheduleResult solveThroughCache(ScheduleCache* cache, const Problem& problem,
   if (spec.scheduler == "pipeline") {
     if (std::optional<CacheEntry> candidate =
             cache->lookupStructural(canonical.structuralHash, key.optionsFp)) {
+      // Only a plan that still validates under the new limits is reused:
+      // keep it and polish the soft objective under the (possibly changed)
+      // Pmin. A plan the delta broke is a miss and falls through to the
+      // cold solve.
       if (std::optional<Schedule> cached =
-              bind(*candidate, problem, canonical)) {
-        ScheduleResult served;
-        if (ScheduleValidator(problem).validate(*cached).valid()) {
-          // Still valid under the new limits: keep the plan, polish the
-          // soft objective under the (possibly changed) Pmin with a
-          // warm-started min-power improvement pass.
-          MinPowerOptions options;
-          options.initialStarts = cached->starts();
-          options.obs = spec.obs;
-          options.budget = spec.budget;
-          served = MinPowerScheduler(problem, options).schedule();
-        } else {
-          // Invalid under the delta (e.g. tightened Pmax): rebuild from
-          // the cached plan through the repair machinery. now = 0 freezes
-          // nothing — every task may move, but the task set and plan
-          // structure carry over.
-          RepairInput input;
-          input.updated = &problem;
-          input.current = &*cached;
-          input.now = Time::zero();
-          PowerAwareOptions options;
-          options.trials = spec.trials;
-          options.obs = spec.obs;
-          options.budget = spec.budget;
-          served = repairSchedule(input, options);
-        }
+              rebind(*candidate, problem, canonical)) {
+        MinPowerOptions options;
+        options.obs = spec.obs;
+        options.budget = spec.budget;
+        ScheduleResult served =
+            MinPowerScheduler(problem, options).improve(*cached);
         if (served.ok() &&
             ScheduleValidator(problem).validate(*served.schedule).valid()) {
           cache->noteRevalidation();

@@ -11,14 +11,14 @@
 //   2. near-miss  — pipeline only: an entry with the same structural
 //      skeleton but different limits / task costs. Equal structural text
 //      means equal task order, so the cached starts bind by the same
-//      canonical index; validate them under the NEW problem. When still
-//      valid, polish with a MinPower improvement pass warm-started from
-//      them (gap filling under the new Pmin); when invalid, rebuild from
-//      them via repairSchedule. Either way the served schedule is
-//      validator-checked against the querying problem. Counted as
-//      cache.revalidations. Results are heuristic-
-//      grade like the pipeline itself, but orders of magnitude cheaper
-//      than a cold solve on near-duplicate traffic.
+//      canonical index; validate them under the NEW problem. A plan that
+//      is still valid is polished by MinPowerScheduler::improve (gap
+//      filling under the new Pmin), validator-checked again and served,
+//      counted as cache.revalidations. A plan the delta made invalid
+//      (e.g. a tightened Pmax) is a miss: the request falls through to
+//      the cold solve. Results are heuristic-grade like the pipeline
+//      itself, but orders of magnitude cheaper than a cold solve on
+//      near-duplicate traffic.
 //   3. warm start — optimal only: a cold exhaustive solve is seeded with
 //      `ExhaustiveOptions::{initialIncumbent, initialIncumbentFinish}`
 //      from the lex-best of the pipeline heuristic (or a cached pipeline

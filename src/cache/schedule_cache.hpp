@@ -78,7 +78,8 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
-  /// Near-miss structural hits served through revalidation/repair.
+  /// Near-miss structural hits whose cached plan still validated and was
+  /// served after a min-power polish.
   std::uint64_t revalidations = 0;
   /// Cold solves that ran with a cache/heuristic-seeded incumbent.
   std::uint64_t warmStarts = 0;

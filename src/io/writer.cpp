@@ -4,11 +4,29 @@
 #include <cctype>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace paws::io {
 
 namespace {
+
+/// One CSV field per RFC 4180: quoted when it holds a comma, a double
+/// quote or a line break, with embedded quotes doubled.
+void writeCsvField(std::ostream& os, std::string_view field) {
+  if (field.find_first_of(",\"\r\n") == std::string_view::npos) {
+    os << field;
+    return;
+  }
+  os << '"';
+  for (const char c : field) {
+    if (c == '"') os << '"';
+    os << c;
+  }
+  os << '"';
+}
 
 /// Watts in .paws syntax: integral milliwatt-exact decimal plus "W".
 void writeWatts(std::ostream& os, Watts w) {
@@ -139,9 +157,12 @@ void writeScheduleCsv(std::ostream& os, const Schedule& schedule) {
   os << "task,resource,start,end,power_mw,energy_mwticks\n";
   for (TaskId v : order) {
     const Task& t = p.task(v);
-    os << t.name << ',' << p.resource(t.resource).name << ','
-       << schedule.start(v).ticks() << ',' << schedule.end(v).ticks() << ','
-       << t.power.milliwatts() << ',' << t.energy().milliwattTicks() << "\n";
+    writeCsvField(os, t.name);
+    os << ',';
+    writeCsvField(os, p.resource(t.resource).name);
+    os << ',' << schedule.start(v).ticks() << ',' << schedule.end(v).ticks()
+       << ',' << t.power.milliwatts() << ',' << t.energy().milliwattTicks()
+       << "\n";
   }
 }
 
@@ -155,8 +176,10 @@ void writeChromeTrace(std::ostream& os, const Schedule& schedule) {
     first = false;
     // tid = resource row; ts/dur in microseconds (1 tick -> 1 us keeps the
     // viewer's zoom sane for second-scale schedules).
-    os << "{\"name\":\"" << t.name << "\",\"ph\":\"X\",\"pid\":1,\"tid\":"
-       << t.resource.value() + 1 << ",\"ts\":" << schedule.start(v).ticks()
+    os << "{\"name\":";
+    obs::json::writeString(os, t.name);
+    os << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << t.resource.value() + 1
+       << ",\"ts\":" << schedule.start(v).ticks()
        << ",\"dur\":" << t.delay.ticks() << ",\"args\":{\"power_mw\":"
        << t.power.milliwatts() << ",\"energy_mwticks\":"
        << t.energy().milliwattTicks() << "}}";
@@ -164,8 +187,9 @@ void writeChromeTrace(std::ostream& os, const Schedule& schedule) {
   // Resource-name metadata rows.
   for (ResourceId r : p.resourceIds()) {
     os << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-       << r.value() + 1 << ",\"args\":{\"name\":\""
-       << p.resource(r).name << "\"}}";
+       << r.value() + 1 << ",\"args\":{\"name\":";
+    obs::json::writeString(os, p.resource(r).name);
+    os << "}}";
   }
   os << "]}";
 }

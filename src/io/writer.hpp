@@ -23,12 +23,12 @@ void writeProblem(std::ostream& os, const Problem& problem);
 std::string problemToText(const Problem& problem);
 
 /// CSV: task,resource,start,end,power_mw,energy_mwticks — one row per task
-/// in start order.
+/// in start order. Names are quoted per RFC 4180 where they need it.
 void writeScheduleCsv(std::ostream& os, const Schedule& schedule);
 
 /// Chrome-tracing JSON (chrome://tracing, Perfetto): one complete event
 /// ("ph":"X") per task, one row per resource, power in the event args —
-/// the schedule opens in any trace viewer.
+/// the schedule opens in any trace viewer. Names are JSON-escaped.
 void writeChromeTrace(std::ostream& os, const Schedule& schedule);
 
 }  // namespace paws::io

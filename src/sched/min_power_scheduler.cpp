@@ -52,33 +52,9 @@ MinPowerScheduler::MinPowerScheduler(const Problem& problem,
                                      MinPowerOptions options)
     : problem_(problem), options_(options) {}
 
-ScheduleResult MinPowerScheduler::schedule() {
-  // Pin the deadline before the first stage runs; every nested stage then
-  // inherits the same absolute time point.
-  options_.budget = options_.budget.resolved();
-  // Warm start: a caller-provided valid schedule skips the timing and
-  // max-power stages and goes straight to gap-filling improvement (see
-  // MinPowerOptions::initialStarts). A vector improve() rejects falls
-  // through to the cold pipeline.
-  if (options_.initialStarts.has_value()) {
-    const std::vector<Time>& starts = *options_.initialStarts;
-    if (starts.size() == problem_.numVertices() &&
-        starts[0] == Time::zero()) {
-      ScheduleResult warm = improve(Schedule(&problem_, starts));
-      if (warm.status != SchedStatus::kInvalidInput) return warm;
-    }
-  }
-  MaxPowerOptions maxOptions = options_.maxPower;
-  maxOptions.obs.inheritFrom(options_.obs);
-  maxOptions.budget.inheritFrom(options_.budget);
-  MaxPowerScheduler maxPower(problem_, maxOptions);
-  ScheduleResult r = maxPower.schedule();
-  if (!r.ok()) return r;
-  return improve(*r.schedule, r.stats);
-}
-
 ScheduleResult MinPowerScheduler::improve(const Schedule& valid,
-                                          SchedulerStats stats) {
+                                          SchedulerStats stats,
+                                          Time spikeHorizon) {
   obs::PhaseTimer phaseTimer(options_.obs, "min-power");
   ScheduleResult out;
   out.stats = stats;
@@ -87,8 +63,6 @@ ScheduleResult MinPowerScheduler::improve(const Schedule& valid,
   const Watts pmin = problem_.minPower();
   std::vector<Time> starts = valid.starts();
   std::uint32_t rng = options_.randomSeed == 0 ? 1 : options_.randomSeed;
-
-  const Time spikeHorizon(options_.maxPower.ignoreSpikesBeforeTick);
 
   // The live profile. Candidate gap-filling moves are evaluated by
   // checkpointing the engine, applying moveTask deltas for only the tasks

@@ -24,7 +24,6 @@
 #pragma once
 
 #include "model/problem.hpp"
-#include "sched/max_power_scheduler.hpp"
 #include "sched/options.hpp"
 #include "sched/result.hpp"
 
@@ -35,13 +34,12 @@ class MinPowerScheduler {
   explicit MinPowerScheduler(const Problem& problem,
                              MinPowerOptions options = {});
 
-  /// Full pipeline: timing -> max power -> min power.
-  ScheduleResult schedule();
-
-  /// Improvement stage only: polishes `valid`, a schedule of this problem
-  /// that is time- and Pmax-valid (spikes before ignoreSpikesBeforeTick
+  /// Improvement stage: polishes `valid`, a schedule of this problem that
+  /// is time- and Pmax-valid (spikes strictly before `spikeHorizon`
   /// tolerated), adding its effort to `stats`. Other input: kInvalidInput.
-  ScheduleResult improve(const Schedule& valid, SchedulerStats stats = {});
+  /// The stages before it run in PowerAwareScheduler.
+  ScheduleResult improve(const Schedule& valid, SchedulerStats stats = {},
+                         Time spikeHorizon = Time::minusInfinity());
 
  private:
   const Problem& problem_;

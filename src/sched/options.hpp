@@ -7,8 +7,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
-#include <vector>
 
 #include "base/time.hpp"
 #include "guard/budget.hpp"
@@ -63,8 +61,9 @@ struct MaxPowerOptions {
   TimingOptions timing;
   VictimOrder victimOrder = VictimOrder::kBySlack;
   /// Spikes strictly before this instant are tolerated instead of
-  /// eliminated — used by mid-flight repair, where frozen history may
-  /// already violate a newly tightened budget and cannot move.
+  /// eliminated (PowerAwareScheduler hands it to min-power improvement
+  /// too) — used by mid-flight repair, where frozen history may already
+  /// violate a newly tightened budget and cannot move.
   std::int64_t ignoreSpikesBeforeTick =
       std::numeric_limits<std::int64_t>::min();
   /// Recursion depth for the reschedule path (Fig. 4's recursive call).
@@ -78,7 +77,6 @@ struct MaxPowerOptions {
 };
 
 struct MinPowerOptions {
-  MaxPowerOptions maxPower;
   /// Scan passes; the paper scans "multiple times while altering some of
   /// the heuristics during each scan and takes the best results". Each pass
   /// cycles through scan orders and slot heuristics.
@@ -88,19 +86,9 @@ struct MinPowerOptions {
   /// Rotate scan order / slot heuristic between passes (paper's "altering
   /// some of the heuristics during each scan").
   bool rotateHeuristics = true;
-  /// Warm start: a vertex-indexed start vector (slot 0 = anchor at 0) for
-  /// a schedule of this problem that is already timing- AND Pmax-valid.
-  /// When set, MinPowerScheduler::schedule() skips the timing + max-power
-  /// stages entirely and hands these starts to improve(). A mis-sized
-  /// vector, or one improve() rejects (timing, resource overlap or Pmax),
-  /// is ignored and the full cold pipeline runs instead — a stale warm
-  /// start can cost time, never correctness.
-  /// Used by the cache near-miss path (cache/cached_solve.cpp) to polish a
-  /// revalidated schedule under changed Pmin instead of re-solving.
-  std::optional<std::vector<Time>> initialStarts;
   std::uint32_t randomSeed = 1;
   obs::ObsContext obs;
-  /// See TimingOptions::budget; propagated into `maxPower.budget`.
+  /// See TimingOptions::budget.
   guard::RunBudget budget;
 };
 

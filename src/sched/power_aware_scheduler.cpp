@@ -2,6 +2,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/phase_timer.hpp"
+#include "sched/max_power_scheduler.hpp"
 #include "sched/min_power_scheduler.hpp"
 
 namespace paws {
@@ -40,24 +41,31 @@ ScheduleResult PowerAwareScheduler::schedule() {
   const std::uint32_t trials = std::max<std::uint32_t>(options_.trials, 1);
   for (std::uint32_t k = 0; k < trials; ++k) {
     if (k > 0 && trialGuard.check() != guard::StopReason::kNone) break;
-    MinPowerOptions opts = options_.minPower;
-    opts.obs.inheritFrom(options_.obs);
-    opts.budget.inheritFrom(options_.budget);
-    opts.randomSeed += k;
-    opts.maxPower.randomSeed += k;
-    opts.maxPower.timing.randomSeed += k;
+    MaxPowerOptions maxOpts = options_.maxPower;
+    maxOpts.obs.inheritFrom(options_.obs);
+    maxOpts.budget.inheritFrom(options_.budget);
+    maxOpts.randomSeed += k;
+    maxOpts.timing.randomSeed += k;
+    MinPowerOptions minOpts = options_.minPower;
+    minOpts.obs.inheritFrom(options_.obs);
+    minOpts.budget.inheritFrom(options_.budget);
+    minOpts.randomSeed += k;
     // Alternate the first scan direction across trials so different partial
     // orders get explored even without randomness.
     if (k % 2 == 1) {
-      opts.scanOrder = opts.scanOrder == ScanOrder::kForward
-                           ? ScanOrder::kBackward
-                           : ScanOrder::kForward;
+      minOpts.scanOrder = minOpts.scanOrder == ScanOrder::kForward
+                              ? ScanOrder::kBackward
+                              : ScanOrder::kForward;
     }
-    if (k >= 2) opts.slotHeuristic = SlotHeuristic::kFinishAtGapEnd;
+    if (k >= 2) minOpts.slotHeuristic = SlotHeuristic::kFinishAtGapEnd;
 
-    MinPowerScheduler pipeline(problem_, opts);
     obs::PhaseTimer trialTimer(options_.obs, "trial", k);
-    ScheduleResult r = pipeline.schedule();
+    ScheduleResult r = MaxPowerScheduler(problem_, maxOpts).schedule();
+    if (r.ok()) {
+      r = MinPowerScheduler(problem_, minOpts)
+              .improve(*r.schedule, r.stats,
+                       Time(maxOpts.ignoreSpikesBeforeTick));
+    }
     trialTimer.finish();
     total += r.stats;
     if (!r.ok()) {
@@ -85,11 +93,6 @@ ScheduleResult PowerAwareScheduler::schedule() {
       best = std::move(r);
       haveBest = true;
     }
-  }
-  if (best.ok() && options_.batteryRefine.has_value()) {
-    BatteryRefineOptions refineOpts = *options_.batteryRefine;
-    refineOpts.obs.inheritFrom(options_.obs);
-    best.schedule = batteryRefine(problem_, *best.schedule, refineOpts);
   }
   best.stats = total;
   if (options_.obs.metrics != nullptr) {

@@ -1,30 +1,28 @@
 // PowerAwareScheduler — the complete three-stage pipeline (Section 5).
 //
-// Runs timing scheduling, then max-power spike elimination, then min-power
-// gap filling, and optionally repeats the whole pipeline over several
-// seeded trials with perturbed heuristics ("in practice, we scan the
-// schedule multiple times while altering some of the heuristics during
-// each scan and take the best results"). The best schedule is the one with
-// the lowest energy cost Ec(Pmin); ties break on finish time, then on
+// The one place the stages are assembled. Each trial runs timing
+// scheduling and max-power spike elimination (MaxPowerScheduler, which
+// nests the timing search), then min-power gap filling
+// (MinPowerScheduler::improve) on the max-power result. Several seeded
+// trials perturb the heuristics ("in practice, we scan the schedule
+// multiple times while altering some of the heuristics during each scan
+// and take the best results"). The best schedule is the one with the
+// lowest energy cost Ec(Pmin); ties break on finish time, then on
 // utilization.
 #pragma once
 
-#include <optional>
-
 #include "model/problem.hpp"
-#include "sched/battery_refine.hpp"
 #include "sched/options.hpp"
 #include "sched/result.hpp"
 
 namespace paws {
 
 struct PowerAwareOptions {
+  /// Stage options; every trial runs max-power (with its nested timing
+  /// search) and then min-power improvement on its result. Spikes before
+  /// maxPower.ignoreSpikesBeforeTick are tolerated by both stages.
+  MaxPowerOptions maxPower;
   MinPowerOptions minPower;
-  /// Rate-capacity battery refinement (sched/battery_refine.hpp), applied
-  /// to the winning trial's schedule. Off by default: without it — or with
-  /// a linear model — the pipeline's output is byte-identical to previous
-  /// releases.
-  std::optional<BatteryRefineOptions> batteryRefine;
   /// Pipeline trials; trial k reseeds the heuristics with seed base+k and
   /// alternates the min-power scan order.
   std::uint32_t trials = 4;

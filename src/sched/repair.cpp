@@ -59,8 +59,7 @@ ScheduleResult repairSchedule(const RepairInput& input,
   // Frozen history may already violate a newly tightened budget; such
   // spikes cannot be repaired and must be tolerated, not chased.
   PowerAwareOptions repairOptions = options;
-  repairOptions.minPower.maxPower.ignoreSpikesBeforeTick =
-      input.now.ticks();
+  repairOptions.maxPower.ignoreSpikesBeforeTick = input.now.ticks();
 
   PowerAwareScheduler scheduler(amended, repairOptions);
   ScheduleResult result = scheduler.schedule();

@@ -6,9 +6,9 @@
 
 #include "model/paper_example.hpp"
 #include "rover/rover_model.hpp"
-#include "sched/min_power_scheduler.hpp"
 #include "sched/power_aware_scheduler.hpp"
 #include "sched/serial_scheduler.hpp"
+#include "support/pipeline.hpp"
 
 namespace paws {
 namespace {
@@ -27,8 +27,7 @@ Watts lowestLevel(const PowerProfile& profile) {
 }
 
 Schedule paperFinalSchedule(const Problem& p) {
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   EXPECT_TRUE(r.ok());
   return *r.schedule;
 }

@@ -4,7 +4,7 @@
 
 #include "model/paper_example.hpp"
 #include "sched/max_power_scheduler.hpp"
-#include "sched/min_power_scheduler.hpp"
+#include "support/pipeline.hpp"
 
 namespace paws {
 namespace {
@@ -54,8 +54,7 @@ TEST(BatteryStressTest, MinPowerSchedulingNeverWorsensTheDrawCurve) {
   const Problem p = makePaperExampleProblem();
   MaxPowerScheduler maxOnly(p);
   const ScheduleResult before = maxOnly.schedule();
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult after = pipeline.schedule();
+  const ScheduleResult after = testutil::runPipelineOnce(p);
   ASSERT_TRUE(before.ok() && after.ok());
 
   const BatteryStressReport rb =

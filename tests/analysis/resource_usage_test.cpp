@@ -81,7 +81,9 @@ TEST(ResourceUsageTest, SerialRoverBottleneckAndUtilizations) {
   // mechanical ops: 2 x 10 s busy.
   const auto driving = *p.findResource("driving");
   for (const ResourceUsage& u : report.usages) {
-    if (u.resource == driving) EXPECT_EQ(u.busy, Duration(20));
+    if (u.resource == driving) {
+      EXPECT_EQ(u.busy, Duration(20));
+    }
   }
 }
 

@@ -80,7 +80,7 @@ TEST(EnergyTest, Ratio) {
 }
 
 TEST(EnergyTest, RatioRejectsNonPositiveDenominator) {
-  EXPECT_THROW(Energy::zero().ratioOf(Energy::zero()), CheckError);
+  EXPECT_THROW((void)Energy::zero().ratioOf(Energy::zero()), CheckError);
 }
 
 TEST(EnergyTest, Printing) {

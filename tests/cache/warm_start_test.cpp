@@ -160,9 +160,11 @@ TEST(WarmStartTest, RandomInstancesByteIdenticalAndStrictlyFewerNodes) {
 
 TEST(WarmStartTest, MinPowerWarmStartUnderRaisedPminStaysValid) {
   // The near-miss path's polish: a pipeline schedule, still valid after
-  // Pmin rises by 30%, seeds MinPowerOptions::initialStarts. Gap filling
-  // must respect resource exclusivity, so every `ok` it returns passes
-  // the validator (two resources crowd the tasks onto shared resources).
+  // Pmin rises by 30%, goes to MinPowerScheduler::improve. Pmin is a soft
+  // limit, so the plan stays valid and improve() must accept it; gap
+  // filling must respect resource exclusivity, so every schedule it
+  // returns passes the validator (two resources crowd the tasks onto
+  // shared resources).
   int warmRuns = 0;
   for (const std::size_t numTasks : {6, 12, 20}) {
     for (std::uint32_t seed = 1; seed <= 40; ++seed) {
@@ -176,11 +178,11 @@ TEST(WarmStartTest, MinPowerWarmStartUnderRaisedPminStaysValid) {
       Problem raised(gp.problem);
       raised.setMinPower(Watts::fromMilliwatts(
           gp.problem.minPower().milliwatts() * 13 / 10));
-      MinPowerOptions options;
-      options.initialStarts = base.schedule->starts();
-      const ScheduleResult warm = MinPowerScheduler(raised, options).schedule();
+      const ScheduleResult warm = MinPowerScheduler(raised).improve(
+          Schedule(&raised, base.schedule->starts()));
       ++warmRuns;
-      if (!warm.ok()) continue;
+      ASSERT_TRUE(warm.ok()) << numTasks << " tasks, seed " << seed << ": "
+                             << warm.message;
       EXPECT_TRUE(ScheduleValidator(raised).validate(*warm.schedule).valid())
           << numTasks << " tasks, seed " << seed;
     }
@@ -278,7 +280,7 @@ TEST(CachedSolveTest, NearMissRevalidatesOnALimitsDelta) {
   EXPECT_TRUE(again.cacheHit);
 }
 
-TEST(CachedSolveTest, NearMissRepairsWhenTheCachedPlanTurnedInvalid) {
+TEST(CachedSolveTest, NearMissWithAnInvalidCachedPlanIsAMiss) {
   ScheduleCache cache;
   // Two tasks on one resource, serial by construction.
   Problem base("nm");
@@ -288,11 +290,12 @@ TEST(CachedSolveTest, NearMissRepairsWhenTheCachedPlanTurnedInvalid) {
   base.minSeparation(a, b, 2_s);
   base.setMaxPower(5_W);
   SolveSpec spec;
-  ASSERT_TRUE(solveThroughCache(&cache, base, spec).ok());
+  const ScheduleResult cached = solveThroughCache(&cache, base, spec);
+  ASSERT_TRUE(cached.ok());
 
   // Rebuild with a longer "a": delay is NOT structural, so this is a near
-  // miss, but the cached starts now overlap on r1 — the resolver must fall
-  // through to repairSchedule and still serve a valid plan.
+  // miss, but the cached starts now overlap on r1. A broken plan is not
+  // reused: the request is a miss, solved cold and inserted.
   Problem longer("nm");
   const ResourceId r2 = longer.addResource("r1");
   const TaskId a2 = longer.addTask("a", 4_s, 2_W, r2);
@@ -301,11 +304,22 @@ TEST(CachedSolveTest, NearMissRepairsWhenTheCachedPlanTurnedInvalid) {
   longer.setMaxPower(5_W);
   ASSERT_EQ(canonicalize(longer).structuralHash,
             canonicalize(base).structuralHash);
+  ASSERT_FALSE(ScheduleValidator(longer)
+                   .validate(Schedule(&longer, cached.schedule->starts()))
+                   .valid());
   SolveInfo info;
   const ScheduleResult r = solveThroughCache(&cache, longer, spec, &info);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(info.revalidated);
-  EXPECT_TRUE(ScheduleValidator(longer).validate(*r.schedule).valid());
+  EXPECT_FALSE(info.revalidated);
+  EXPECT_FALSE(info.servedFromCache());
+  EXPECT_EQ(cache.stats().revalidations, 0u);
+  EXPECT_EQ(cache.stats().insertions, 2u);
+
+  // The cold rung's answer: byte-identical to a solve without a cache.
+  const ScheduleResult uncached = solveThroughCache(nullptr, longer, spec);
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_EQ(io::scheduleToText(*r.schedule, "x"),
+            io::scheduleToText(*uncached.schedule, "x"));
 }
 
 /// `p` re-declared back to front: resources, tasks and constraints in

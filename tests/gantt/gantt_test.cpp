@@ -4,7 +4,7 @@
 #include "gantt/svg_gantt.hpp"
 #include "graph/dot.hpp"
 #include "model/paper_example.hpp"
-#include "sched/min_power_scheduler.hpp"
+#include "support/pipeline.hpp"
 
 namespace paws {
 namespace {
@@ -86,8 +86,7 @@ TEST(AsciiGanttTest, RejectsBadOptions) {
 
 TEST(SvgGanttTest, ProducesWellFormedDocument) {
   const Problem p = makePaperExampleProblem();
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok());
   const std::string svg = renderSvgGantt(*r.schedule);
   EXPECT_EQ(svg.rfind("<svg", 0), 0u);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "model/paper_example.hpp"
-#include "sched/min_power_scheduler.hpp"
+#include "support/pipeline.hpp"
 
 namespace paws {
 namespace {
@@ -12,8 +12,7 @@ using namespace paws::literals;
 
 TEST(HtmlReportTest, ValidScheduleReport) {
   const Problem p = makePaperExampleProblem();
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok());
   const std::string html = renderHtmlReport(*r.schedule);
   EXPECT_EQ(html.rfind("<!DOCTYPE html>", 0), 0u);
@@ -54,8 +53,7 @@ TEST(HtmlReportTest, EscapesNames) {
 
 TEST(HtmlReportTest, CustomTitle) {
   const Problem p = makePaperExampleProblem();
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok());
   HtmlReportOptions opt;
   opt.title = "Flight Review 7";

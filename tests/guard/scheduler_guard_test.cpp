@@ -13,7 +13,6 @@
 #include "guard/cancel.hpp"
 #include "obs/metrics.hpp"
 #include "sched/exhaustive_scheduler.hpp"
-#include "sched/min_power_scheduler.hpp"
 #include "sched/power_aware_scheduler.hpp"
 #include "validate/validator.hpp"
 
@@ -164,9 +163,10 @@ TEST(PipelineGuardTest, MidFlightCancelYieldsConsistentAnytimeOrFailure) {
   // kDeadlineExceeded whose schedule — if any — passes the validator.
   const Problem problem = bigProblem(13, 40);
   guard::CancelSource source;
-  MinPowerOptions options;
+  PowerAwareOptions options;
+  options.trials = 1;
   options.budget.cancel = source.token();
-  MinPowerScheduler scheduler(problem, options);
+  PowerAwareScheduler scheduler(problem, options);
 
   std::thread canceller([&source] {
     std::this_thread::sleep_for(milliseconds(2));

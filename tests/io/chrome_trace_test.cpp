@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "io/parser.hpp"
 #include "io/writer.hpp"
 #include "model/paper_example.hpp"
-#include "sched/min_power_scheduler.hpp"
+#include "obs/json.hpp"
+#include "support/pipeline.hpp"
 
 namespace paws::io {
 namespace {
@@ -19,8 +23,7 @@ std::string chromeTrace(const Schedule& schedule) {
 
 TEST(ChromeTraceTest, OneEventPerTaskPlusResourceMetadata) {
   const Problem p = makePaperExampleProblem();
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok());
   const std::string json = chromeTrace(*r.schedule);
 
@@ -76,6 +79,63 @@ TEST(ChromeTraceTest, GoldenTwoTaskSchedule) {
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,"
       "\"args\":{\"name\":\"radio\"}}"
       "]}");
+}
+
+/// Splits one CSV record into its fields, RFC 4180 quoting undone.
+std::vector<std::string> csvFields(const std::string& row) {
+  std::vector<std::string> fields(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    const char c = row[i];
+    if (quoted && c == '"' && i + 1 < row.size() && row[i + 1] == '"') {
+      fields.back() += '"';
+      ++i;
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (c == ',' && !quoted) {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
+TEST(ChromeTraceTest, QuotedNamesRoundTripThroughTraceAndCsv) {
+  // Inside a quoted name the lexer accepts everything but '"' and a line
+  // break, so a backslash, a comma and a tab all reach the exporters.
+  const std::string taskName = "a\\b,c\td";
+  const std::string resourceName = "r,1\\";
+  const ParseResult parsed = parseProblem(
+      "problem \"odd\" {\n  pmax 10W\n  resource \"" + resourceName +
+      "\"\n  task \"" + taskName + "\" { resource \"" + resourceName +
+      "\" delay 2 power 1W }\n  task plain { resource \"" + resourceName +
+      "\" delay 3 power 1W }\n}\n");
+  ASSERT_TRUE(parsed.ok()) << format(parsed.errors.front());
+  const Problem& p = *parsed.problem;
+  const Schedule s(&p, {Time(0), Time(0), Time(2)});
+
+  const obs::json::ParseResult trace = obs::json::parse(chromeTrace(s));
+  ASSERT_TRUE(trace.ok) << trace.error;
+  const obs::json::Value* events = trace.value.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->items.size(), 3u);
+  EXPECT_EQ(events->items[0].find("name")->asString(), taskName);
+  EXPECT_EQ(events->items[2].find("args")->find("name")->asString(),
+            resourceName);
+
+  std::ostringstream csv;
+  writeScheduleCsv(csv, s);
+  std::istringstream lines(csv.str());
+  std::vector<std::vector<std::string>> rows;
+  for (std::string line; std::getline(lines, line);) {
+    rows.push_back(csvFields(line));
+    EXPECT_EQ(rows.back().size(), 6u) << line;
+  }
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[1][0], taskName);
+  EXPECT_EQ(rows[1][1], resourceName);
+  EXPECT_EQ(rows[2][0], "plain");
 }
 
 TEST(ChromeTraceTest, EmptyProblemYieldsEmptyEventArray) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "model/paper_example.hpp"
-#include "sched/min_power_scheduler.hpp"
+#include "support/pipeline.hpp"
 
 namespace paws::io {
 namespace {
@@ -30,8 +30,7 @@ TEST(ScheduleIoTest, ParsesMinimalDocument) {
 
 TEST(ScheduleIoTest, RoundTripsPipelineOutput) {
   const Problem p = makePaperExampleProblem();
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok());
   const std::string text = scheduleToText(*r.schedule, "improved");
   const ScheduleParseResult parsed = parseSchedule(text, p);

@@ -50,7 +50,7 @@ TEST(SolarSourceTest, RejectsBadPhaseLists) {
 
 TEST(SolarSourceTest, RejectsNegativeTime) {
   const SolarSource s({{Time(0), 10_W}});
-  EXPECT_THROW(s.levelAt(Time(-1)), CheckError);
+  EXPECT_THROW((void)s.levelAt(Time(-1)), CheckError);
 }
 
 TEST(BatteryTest, Accounting) {

@@ -9,8 +9,8 @@
 
 #include "sched/exhaustive_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
-#include "sched/min_power_scheduler.hpp"
 #include "sched/serial_scheduler.hpp"
+#include "support/pipeline.hpp"
 #include "validate/validator.hpp"
 
 namespace paws {
@@ -64,12 +64,11 @@ TEST_P(AdversarialFuzz, SchedulersNeverLie) {
   const ScheduleValidator validator(p);
 
   {
-    MinPowerOptions opt;
+    PowerAwareOptions opt;
     opt.maxPower.maxDelays = 3000;          // keep the fuzz fast
     opt.maxPower.timing.maxBacktracks = 3000;
     opt.maxPower.maxRecursionDepth = 16;
-    MinPowerScheduler pipeline(p, opt);
-    const ScheduleResult r = pipeline.schedule();
+    const ScheduleResult r = testutil::runPipelineOnce(p, opt);
     if (r.ok()) {
       EXPECT_TRUE(validator.validate(*r.schedule).valid())
           << "pipeline lied on seed " << GetParam();

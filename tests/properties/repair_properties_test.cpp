@@ -6,8 +6,8 @@
 #include <random>
 
 #include "gen/random_problem.hpp"
-#include "sched/min_power_scheduler.hpp"
 #include "sched/repair.hpp"
+#include "support/pipeline.hpp"
 #include "validate/validator.hpp"
 
 namespace paws {
@@ -23,8 +23,7 @@ TEST_P(RepairProperty, HistoryFrozenFutureLegal) {
   cfg.pmaxHeadroomMw = 1000;
   const GeneratedProblem gp = generateRandomProblem(cfg);
 
-  MinPowerScheduler pipeline(gp.problem);
-  const ScheduleResult base = pipeline.schedule();
+  const ScheduleResult base = testutil::runPipelineOnce(gp.problem);
   if (!base.ok()) {
     SUCCEED();
     return;
@@ -86,8 +85,7 @@ TEST_P(RepairProperty, NoOpRepairIsStillValid) {
   cfg.numResources = 3;
   cfg.pmaxHeadroomMw = 1000;
   const GeneratedProblem gp = generateRandomProblem(cfg);
-  MinPowerScheduler pipeline(gp.problem);
-  const ScheduleResult base = pipeline.schedule();
+  const ScheduleResult base = testutil::runPipelineOnce(gp.problem);
   if (!base.ok()) {
     SUCCEED();
     return;

@@ -10,6 +10,7 @@
 #include "sched/serial_scheduler.hpp"
 #include "sched/slack.hpp"
 #include "sched/timing_scheduler.hpp"
+#include "support/pipeline.hpp"
 #include "validate/validator.hpp"
 
 namespace paws {
@@ -168,10 +169,8 @@ TEST_P(SeededProperty, SerialSchedulerProducesNonOverlappingValidSchedules) {
 
 TEST_P(SeededProperty, SchedulersAreDeterministic) {
   const GeneratedProblem gp = generate();
-  MinPowerScheduler a(gp.problem);
-  MinPowerScheduler b(gp.problem);
-  const ScheduleResult ra = a.schedule();
-  const ScheduleResult rb = b.schedule();
+  const ScheduleResult ra = testutil::runPipelineOnce(gp.problem);
+  const ScheduleResult rb = testutil::runPipelineOnce(gp.problem);
   ASSERT_EQ(ra.ok(), rb.ok());
   if (ra.ok()) {
     EXPECT_EQ(ra.schedule->starts(), rb.schedule->starts())

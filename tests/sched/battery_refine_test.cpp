@@ -126,19 +126,18 @@ TEST(BatteryRefineTest, NeverWorsensTheRoverSchedules) {
   }
 }
 
-TEST(BatteryRefineTest, SchedulerOptionWiresThePassIn) {
+TEST(BatteryRefineTest, RefinedPipelineResultIsAFixedPoint) {
+  // The pass runs on a pipeline result, as the fault-campaign bench does.
   const Problem p = rover::makeRoverProblem(rover::RoverCase::kWorst, 1);
-  PowerAwareOptions options;
+  const ScheduleResult r = PowerAwareScheduler(p).schedule();
+  ASSERT_TRUE(r.ok());
   BatteryRefineOptions refine;
   refine.model = rover::missionBatteryTraits();
-  options.batteryRefine = refine;
-  PowerAwareScheduler scheduler(p, options);
-  const ScheduleResult r = scheduler.schedule();
-  ASSERT_TRUE(r.ok());
-  // The delivered schedule is already refined: a second pass finds nothing.
+  const Schedule refined = batteryRefine(p, *r.schedule, refine);
+  // The refined schedule is a local optimum: a second pass finds nothing.
   BatteryRefineStats stats;
-  const Schedule again = batteryRefine(p, *r.schedule, refine, &stats);
-  EXPECT_EQ(again.starts(), r.schedule->starts());
+  const Schedule again = batteryRefine(p, refined, refine, &stats);
+  EXPECT_EQ(again.starts(), refined.starts());
   EXPECT_EQ(stats.moves, 0u);
 }
 

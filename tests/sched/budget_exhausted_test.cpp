@@ -6,8 +6,8 @@
 
 #include "gen/random_problem.hpp"
 #include "graph/longest_path.hpp"
-#include "sched/min_power_scheduler.hpp"
 #include "sched/timing_scheduler.hpp"
+#include "support/pipeline.hpp"
 #include "validate/validator.hpp"
 
 namespace paws {
@@ -98,9 +98,9 @@ TEST(MinPowerBudgetTest, ZeroDelayBudgetUnderTightPmaxIsBudgetExhausted) {
   p.addTask("b", 5_s, 3_W, r2);
   p.setMaxPower(4_W);
 
-  MinPowerOptions options;
+  PowerAwareOptions options;
   options.maxPower.maxDelays = 0;
-  const ScheduleResult r = MinPowerScheduler(p, options).schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p, options);
   EXPECT_EQ(r.status, SchedStatus::kBudgetExhausted);
   EXPECT_FALSE(r.message.empty());
   if (r.schedule.has_value()) {
@@ -108,7 +108,7 @@ TEST(MinPowerBudgetTest, ZeroDelayBudgetUnderTightPmaxIsBudgetExhausted) {
   }
 
   // Sanity: with the default budget the same instance schedules fine.
-  const ScheduleResult ok = MinPowerScheduler(p).schedule();
+  const ScheduleResult ok = testutil::runPipelineOnce(p);
   ASSERT_EQ(ok.status, SchedStatus::kOk) << ok.message;
   EXPECT_TRUE(ScheduleValidator(p).validate(*ok.schedule).valid());
 }
@@ -126,9 +126,9 @@ TEST(MinPowerBudgetTest, TinyDelayBudgetOnGeneratedProblemsStaysConsistent) {
     // stage has real work, then give it almost no budget to do it with.
     p.setMaxPower(Watts::fromMilliwatts(p.maxPower().milliwatts() * 3 / 5));
 
-    MinPowerOptions options;
+    PowerAwareOptions options;
     options.maxPower.maxDelays = 1;
-    const ScheduleResult r = MinPowerScheduler(p, options).schedule();
+    const ScheduleResult r = testutil::runPipelineOnce(p, options);
     EXPECT_TRUE(r.status == SchedStatus::kOk ||
                 r.status == SchedStatus::kBudgetExhausted ||
                 r.status == SchedStatus::kPowerInfeasible ||

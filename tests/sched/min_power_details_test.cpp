@@ -5,7 +5,7 @@
 // slot-window arithmetic).
 #include <gtest/gtest.h>
 
-#include "sched/min_power_scheduler.hpp"
+#include "support/pipeline.hpp"
 #include "validate/validator.hpp"
 
 namespace paws {
@@ -40,14 +40,13 @@ Problem gapProblem() {
 ScheduleResult run(const Problem& p, SlotHeuristic slot,
                    ScanOrder scan = ScanOrder::kForward,
                    std::uint32_t passes = 1, std::uint32_t seed = 1) {
-  MinPowerOptions opt;
-  opt.slotHeuristic = slot;
-  opt.scanOrder = scan;
-  opt.rotateHeuristics = false;
-  opt.maxPasses = passes;
-  opt.randomSeed = seed;
-  MinPowerScheduler pipeline(p, opt);
-  ScheduleResult r = pipeline.schedule();
+  PowerAwareOptions opt;
+  opt.minPower.slotHeuristic = slot;
+  opt.minPower.scanOrder = scan;
+  opt.minPower.rotateHeuristics = false;
+  opt.minPower.maxPasses = passes;
+  opt.minPower.randomSeed = seed;
+  ScheduleResult r = testutil::runPipelineOnce(p, opt);
   EXPECT_TRUE(r.ok()) << r.message;
   if (r.ok()) {
     EXPECT_TRUE(ScheduleValidator(p).validate(*r.schedule).valid());

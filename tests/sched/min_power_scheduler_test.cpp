@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "model/paper_example.hpp"
+#include "sched/max_power_scheduler.hpp"
 #include "sched/power_aware_scheduler.hpp"
+#include "support/pipeline.hpp"
 #include "validate/validator.hpp"
 
 namespace paws {
@@ -22,8 +24,8 @@ TEST(MinPowerSchedulerTest, PaperExampleImprovesUtilization) {
   const Energy ecBefore = before.schedule->energyCost(p.minPower());
   const double rhoBefore = before.schedule->utilization(p.minPower());
 
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult after = pipeline.schedule();
+  const ScheduleResult after =
+      MinPowerScheduler(p).improve(*before.schedule, before.stats);
   ASSERT_TRUE(after.ok()) << after.message;
   const Energy ecAfter = after.schedule->energyCost(p.minPower());
 
@@ -37,8 +39,7 @@ TEST(MinPowerSchedulerTest, PaperExampleImprovesUtilization) {
 
 TEST(MinPowerSchedulerTest, ResultRemainsFullyValid) {
   const Problem p = makePaperExampleProblem();
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok());
   const ScheduleValidator validator(p);
   EXPECT_TRUE(validator.validate(*r.schedule).valid());
@@ -56,11 +57,11 @@ TEST(MinPowerSchedulerTest, NeverDecreasesUtilization) {
       opt.slotHeuristic = slot;
       opt.rotateHeuristics = false;
       opt.randomSeed = 7;
-      MaxPowerScheduler maxPower(p, opt.maxPower);
+      MaxPowerScheduler maxPower(p);
       const ScheduleResult base = maxPower.schedule();
       ASSERT_TRUE(base.ok());
-      MinPowerScheduler pipeline(p, opt);
-      const ScheduleResult r = pipeline.schedule();
+      const ScheduleResult r =
+          MinPowerScheduler(p, opt).improve(*base.schedule, base.stats);
       ASSERT_TRUE(r.ok());
       EXPECT_GE(r.schedule->utilization(p.minPower()) + 1e-12,
                 base.schedule->utilization(p.minPower()))
@@ -77,8 +78,7 @@ TEST(MinPowerSchedulerTest, FullUtilizationShortCircuits) {
   p.addTask("only", 10_s, 5_W, r1);
   p.setMaxPower(8_W);
   p.setMinPower(5_W);
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r.schedule->utilization(p.minPower()), 1.0);
   EXPECT_EQ(r.stats.improvements, 0u);
@@ -91,8 +91,7 @@ TEST(MinPowerSchedulerTest, ZeroPminIsConventionalSpecialCase) {
   p.addTask("t2", 5_s, 4_W, r1);
   p.setMaxPower(10_W);
   // Pmin defaults to 0: utilization is 1 by definition; nothing to do.
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.stats.improvements, 0u);
 }
@@ -109,8 +108,7 @@ TEST(MinPowerSchedulerTest, GapFillingRespectsPmax) {
   p.pin(late, Time(5));
   p.setMaxPower(12_W);
   p.setMinPower(10_W);
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok()) << r.message;
   const ScheduleValidator validator(p);
   EXPECT_TRUE(validator.validate(*r.schedule).powerValid());
@@ -138,8 +136,7 @@ TEST(MinPowerSchedulerTest, ImproveRequiresPowerValidInput) {
 
 TEST(PowerAwareSchedulerTest, MultiTrialMatchesOrBeatsSingleRun) {
   const Problem p = makePaperExampleProblem();
-  MinPowerScheduler single(p);
-  const ScheduleResult one = single.schedule();
+  const ScheduleResult one = testutil::runPipelineOnce(p);
   ASSERT_TRUE(one.ok());
 
   PowerAwareOptions opt;

@@ -4,7 +4,7 @@
 
 #include "model/paper_example.hpp"
 #include "rover/rover_model.hpp"
-#include "sched/min_power_scheduler.hpp"
+#include "support/pipeline.hpp"
 #include "validate/validator.hpp"
 
 namespace paws {
@@ -13,8 +13,7 @@ namespace {
 using namespace paws::literals;
 
 Schedule pipelineSchedule(const Problem& p) {
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   EXPECT_TRUE(r.ok()) << r.message;
   return *r.schedule;
 }

@@ -2,12 +2,13 @@
 // mainline tests don't reach.
 #include <gtest/gtest.h>
 
+#include "graph/longest_path.hpp"
 #include "model/paper_example.hpp"
 #include "sched/exhaustive_scheduler.hpp"
-#include "sched/min_power_scheduler.hpp"
+#include "sched/max_power_scheduler.hpp"
 #include "sched/power_aware_scheduler.hpp"
 #include "sched/timing_scheduler.hpp"
-#include "graph/longest_path.hpp"
+#include "support/pipeline.hpp"
 #include "validate/validator.hpp"
 
 namespace paws {
@@ -23,8 +24,7 @@ TEST(SchedulerEdgeCases, UserPinIsHonoredThroughTheWholePipeline) {
   const TaskId b = p.addTask("b", 5_s, 4_W, r2);
   p.pin(b, Time(7));
   p.setMaxPower(6_W);  // a and b cannot overlap
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok()) << r.message;
   EXPECT_EQ(r.schedule->start(b), Time(7));
   EXPECT_FALSE(r.schedule->interval(a).overlaps(r.schedule->interval(b)));
@@ -32,8 +32,7 @@ TEST(SchedulerEdgeCases, UserPinIsHonoredThroughTheWholePipeline) {
 
 TEST(SchedulerEdgeCases, EmptyProblemSchedulesTrivially) {
   Problem p("void");
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.schedule->finish(), Time(0));
 }
@@ -43,20 +42,18 @@ TEST(SchedulerEdgeCases, SingleTaskTightBudget) {
   const ResourceId r1 = p.addResource("r1");
   p.addTask("only", 7_s, 5_W, r1);
   p.setMaxPower(5_W);  // exactly fits
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.schedule->start(TaskId(1)), Time(0));
 }
 
 TEST(SchedulerEdgeCases, MinPowerZeroPassesIsMaxPowerOnly) {
   const Problem p = makePaperExampleProblem();
-  MinPowerOptions opt;
-  opt.maxPasses = 0;
+  PowerAwareOptions opt;
+  opt.minPower.maxPasses = 0;
   MaxPowerScheduler maxOnly(p, opt.maxPower);
   const ScheduleResult base = maxOnly.schedule();
-  MinPowerScheduler pipeline(p, opt);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p, opt);
   ASSERT_TRUE(base.ok() && r.ok());
   EXPECT_EQ(r.schedule->starts(), base.schedule->starts());
   EXPECT_EQ(r.stats.improvements, 0u);
@@ -133,8 +130,7 @@ TEST(SchedulerEdgeCases, ManyResourcesNoConstraintsAllStartAtZero) {
         p.addResource("r" + std::to_string(i));
     p.addTask("t" + std::to_string(i), 3_s, 1_W, r);
   }
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok());
   for (TaskId v : p.taskIds()) {
     EXPECT_EQ(r.schedule->start(v), Time(0));
@@ -150,8 +146,7 @@ TEST(SchedulerEdgeCases, ZeroSeparationConstraintsForceSimultaneity) {
   const TaskId b = p.addTask("b", 5_s, 1_W, r2);
   p.minSeparation(a, b, Duration(0));
   p.maxSeparation(a, b, Duration(0));
-  MinPowerScheduler pipeline(p);
-  const ScheduleResult r = pipeline.schedule();
+  const ScheduleResult r = testutil::runPipelineOnce(p);
   ASSERT_TRUE(r.ok()) << r.message;
   EXPECT_EQ(r.schedule->start(a), r.schedule->start(b));
 }

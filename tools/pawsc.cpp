@@ -15,7 +15,8 @@
 //       registry as CSV, --obs-summary prints the human-readable table.
 //       --cache-dir DIR persists solved schedules (keyed by the problem's
 //       canonical form) so repeated invocations serve hits, structurally
-//       matching near misses revalidate through repair, and exhaustive
+//       matching near misses whose cached plan still validates are
+//       polished and served (a broken plan is a miss), and exhaustive
 //       runs warm-start from the pipeline heuristic; batch mode shares
 //       one cache across its workers even without --cache-dir.
 //   pawsc sweep <file.paws> --pmax-from W --pmax-to W [--step W]
